@@ -1,10 +1,15 @@
-"""Command-line front end.
+"""Command-line front end, driven by one command table.
 
-Reads model and scenario files (JSON), runs the requested computation, and
-emits a deterministic report: JSON for machines, or an indented text view
-derived from the same JSON document. Exit codes: 0 success, 1 domain error
-(invalid model, missing measure, non-restorable mapping, ...), 2 usage error
-(unknown flags, missing or unparseable files).
+`COMMANDS` has one row per command path, such as ``("classical", "entropy")``:
+its description and help text, its argument specs, and `run`, which turns the
+parsed arguments into a report dict. A row without `run` is a group, whose
+arguments are flags given before the subcommand (``physics --constants``).
+`build_parser` builds the argparse tree from the table in one loop; `main` runs
+the chosen row and emits its report, as JSON or as a text view of the same
+document. Every file argument is read by `read_file`. Exit codes: 0 success,
+1 domain error (invalid model, missing measure, non-restorable mapping, ...;
+also any report whose `valid` field is false), 2 usage error (unknown flags; a
+file that is missing, unparseable, or of the wrong shape).
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from . import classical, metrics, physics, scenarios
 from .errors import OitError
 from .io import (
+    chain_from_json,
     entry_to_json,
     json_ready,
-    load_chain,
     model_from_json,
     model_to_json,
     to_json_text,
@@ -35,29 +41,43 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path: str):
+def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
+    """Parse the JSON file at `path` and turn it into a value with `convert`.
+
+    A missing or unreadable file, unparseable JSON, and a document that
+    `convert` rejects for its shape or a missing field are usage errors that
+    name the file; `kind` says what the file should have held.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except FileNotFoundError as exc:
         raise UsageError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
-
-
-def _load_model(path: str):
-    doc = _load_json(path)
     try:
-        return model_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path} is not a model file: {exc}") from exc
+        return convert(doc)
+    except KeyError as exc:
+        raise UsageError(f"{path} is not a {kind} file: missing field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a {kind} file: {exc}") from exc
+
+
+def reader(kind: str, convert: Callable[[Any], Any]) -> Callable[[str], Any]:
+    """An argparse `type` that reads a file argument through `read_file`."""
+    return lambda path: read_file(path, kind, convert)
 
 
 def _parse_constants(value: str) -> physics.PhysicalConstants:
     if value in physics.PROFILES:
         return physics.profile(value)
-    doc = _load_json(value)
-    return physics.constants_from_dict(doc, name=doc.get("name", "custom"))
+    return read_file(
+        value,
+        "constants",
+        lambda doc: physics.constants_from_dict(doc, name=doc.get("name", "custom")),
+    )
 
 
 def _parse_number_list(text: str) -> list[float]:
@@ -66,9 +86,9 @@ def _parse_number_list(text: str) -> list[float]:
 
 def _distance_spec(args) -> metrics.DistanceSpec:
     weights = (1, 1, 1, 1, 1, 1)
-    if getattr(args, "weights", None):
+    if args.weights:
         weights = tuple(_parse_number_list(args.weights))
-    return metrics.DistanceSpec(kind=getattr(args, "distance", "L2") or "L2", weights=weights)
+    return metrics.DistanceSpec(kind=args.distance, weights=weights)
 
 
 def render_text(doc, indent: int = 0) -> str:
@@ -99,85 +119,67 @@ def render_text(doc, indent: int = 0) -> str:
 def emit(report: dict, args) -> None:
     doc = json_ready(report)
     text = to_json_text(doc) if args.format == "json" else render_text(doc)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    if args.output:
+        try:
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         print(text)
 
 
-def cmd_validate(args) -> int:
-    model = _load_model(args.model)
-    report = validate(model)
+def _violations(found) -> list[dict]:
+    return [{"rule": v.rule, "message": v.message, "postulate": v.postulate} for v in found]
+
+
+def run_validate(args) -> dict:
+    report = validate(args.model)
     doc = {
         "valid": report.ok,
-        "violations": [
-            {"rule": v.rule, "message": v.message, "postulate": v.postulate}
-            for v in report.violations
-        ],
-        "warnings": [
-            {"rule": v.rule, "message": v.message, "postulate": v.postulate}
-            for v in report.warnings
-        ],
+        "violations": _violations(report.violations),
+        "warnings": _violations(report.warnings),
     }
     if report.ok:
-        doc["restorable"] = is_restorable(model)
-    emit(doc, args)
-    if not report.ok:
-        return DOMAIN_EXIT
-    return 0
+        doc["restorable"] = is_restorable(args.model)
+    return doc
 
 
-def cmd_metrics(args) -> int:
-    model = _load_model(args.model)
-    relation = None
-    if args.relation:
-        relation = metrics.EquivalenceRelation(_load_json(args.relation)["labels"])
-    relations = None
-    if args.edges:
-        relations = metrics.RelationSet(_load_json(args.edges)["edges"])
-    gaps = json.loads(args.gaps) if args.gaps else None
-    target = _load_model(args.target) if args.target else None
-    restored = json.loads(args.restored) if args.restored else None
-    truth = json.loads(args.truth) if args.truth else None
-    report = metrics.metric_report(
-        model,
-        relation=relation,
-        relations=relations,
-        gaps=gaps,
+def _json_arg(text: str | None):
+    return json.loads(text) if text else None
+
+
+def run_metrics(args) -> dict:
+    return metrics.metric_report(
+        args.model,
+        relation=args.relation,
+        relations=args.edges,
+        gaps=_json_arg(args.gaps),
         spec=_distance_spec(args),
-        restored=restored if not isinstance(restored, list) else tuple(restored),
-        truth=truth if not isinstance(truth, list) else tuple(truth),
-        target=target,
+        restored=_json_arg(args.restored),
+        truth=_json_arg(args.truth),
+        target=args.target,
     )
-    emit(report, args)
-    return 0
 
 
-def cmd_restore(args) -> int:
-    model = _load_model(args.model)
-    entry = restore(model, args.index)
-    emit({"reflection_index": args.index, "restored_state": entry_to_json(entry)}, args)
-    return 0
+def run_restore(args) -> dict:
+    entry = restore(args.model, args.index)
+    return {"reflection_index": args.index, "restored_state": entry_to_json(entry)}
 
 
-def cmd_chain(args) -> int:
-    links = load_chain(args.chain)
-    composed = compose_chain(links)
-    doc = {
-        "links": len(links),
+def run_chain(args) -> dict:
+    composed = compose_chain(args.chain)
+    return {
+        "links": len(args.chain),
         "delay_s": metrics.delay(composed),
-        "link_delays_s": [metrics.delay(link) for link in links],
+        "link_delays_s": [metrics.delay(link) for link in args.chain],
         "model": model_to_json(composed),
     }
-    emit(doc, args)
-    return 0
 
 
-def cmd_demo(args) -> int:
+def run_demo(args) -> dict:
     penguin = scenarios.penguin_model()
-    report = validate(penguin)
     penguin_doc = {
-        "valid": report.ok,
+        "valid": validate(penguin).ok,
         "restorable": is_restorable(penguin),
         "volume_bits": metrics.volume(penguin),
         "volume_note": "1 MB at 2^20 bytes/MB is 8388608 bits",
@@ -187,405 +189,369 @@ def cmd_demo(args) -> int:
         "coverage": metrics.coverage(penguin),
         "restored_value": restore(penguin, 0).value,
     }
-    consts = args.constants
-    universe = physics.universe_info(consts)
-    rate = physics.qubits_per_kg_second(consts)
-    emit(
-        {
-            "penguin": penguin_doc,
-            "universe": universe,
-            "unit_mass_rate": rate,
-        },
-        args,
+    return {
+        "penguin": penguin_doc,
+        "universe": physics.universe_info(args.constants),
+        "unit_mass_rate": physics.qubits_per_kg_second(args.constants),
+    }
+
+
+def run_entropy(args) -> dict:
+    probs = _parse_number_list(args.probs)
+    return {"entropy_bits": classical.shannon_min_volume(probs), "probabilities": probs}
+
+
+def run_chain_delay(args) -> dict:
+    delays = args.delays.replace(",", " ").split()
+    return {"total_delay_s": classical.serial_chain_delay(delays)}
+
+
+def run_radar(args) -> dict:
+    rng = classical.radar_max_range(
+        args.power, args.gain, args.aperture, args.min_signal, args.sigma
     )
-    return 0
+    return {"max_range_m": rng, "scope_sigma_m2": args.sigma}
 
 
-def cmd_classical(args) -> int:
-    name = args.calculator
-    if name == "entropy":
-        probs = _parse_number_list(args.probs)
-        emit({"entropy_bits": classical.shannon_min_volume(probs), "probabilities": probs}, args)
-    elif name == "chain-delay":
-        delays = args.delays.replace(",", " ").split()
-        emit({"total_delay_s": classical.serial_chain_delay(delays)}, args)
-    elif name == "radar":
-        rng = classical.radar_max_range(
-            args.power, args.gain, args.aperture, args.min_signal, args.sigma
-        )
-        emit({"max_range_m": rng, "scope_sigma_m2": args.sigma}, args)
-    elif name == "rayleigh":
-        emit(
-            {
-                "granularity_rad": classical.rayleigh_granularity(
-                    args.wavelength, args.aperture
-                )
-            },
-            args,
-        )
-    elif name == "variety-check":
-        model = _load_model(args.model)
-        relation = metrics.EquivalenceRelation(_load_json(args.relation)["labels"])
-        result = classical.variety_invariance_check(model, relation)
-        emit(
-            {
-                "state_classes": result.state_side,
-                "reflection_classes": result.reflection_side,
-                "equal": result.equal,
-            },
-            args,
-        )
-    elif name == "mtbf":
-        sessions = json.loads(args.sessions)
-        emit({"mean_duration_s": classical.mtbf_duration(sessions)}, args)
-    elif name == "nyquist":
-        doc = {"min_rate_hz": classical.nyquist_min_rate(args.period)}
-        if args.rate is not None:
-            doc["rate_hz"] = seconds(args.rate)
-            doc["restorable"] = classical.nyquist_restorable(args.rate, args.period)
-        emit(doc, args)
-    elif name == "aggregation-check":
-        model = _load_model(args.model)
-        relations = metrics.RelationSet(_load_json(args.edges)["edges"])
-        result = classical.aggregation_invariance_check(model, relations)
-        emit(
-            {
-                "state_ratio": result.state_side,
-                "reflection_ratio": result.reflection_side,
-                "equal": result.equal,
-            },
-            args,
-        )
-    elif name == "metcalfe":
-        doc = {"nodes": args.nodes, "value": classical.metcalfe_value(args.nodes)}
-        if args.model:
-            result = classical.network_value_check(_load_model(args.model), args.nodes)
-            doc["scope_times_coverage"] = result.scope_times_coverage
-            doc["equal"] = result.equal
-        emit(doc, args)
-    elif name == "kalman":
-        doc = _load_json(args.scenario)
-        system = classical.LinearSystemSpec(
-            A=doc["A"],
-            H=doc["H"],
-            Q=doc["Q"],
-            R=doc["R"],
-            x0=doc["x0"],
-            P0=doc["P0"],
-            B=doc.get("B"),
-        )
-        steps = classical.kalman_filter(system, doc["z"], doc.get("U"))
-        emit(
-            {
-                "steps": [
-                    {"step": k + 1, "x": s.x, "P": s.P, "gain": s.gain}
-                    for k, s in enumerate(steps)
-                ]
-            },
-            args,
-        )
-    elif name == "asl":
-        value = classical.asl(args.algorithm, args.n)
-        emit({"algorithm": args.algorithm, "n": args.n, "asl": value}, args)
-    elif name == "search":
-        doc = _load_json(args.scenario)
-        setup = classical.SearchSetup(
-            candidates=[model_from_json(m) for m in doc["candidates"]],
-            target=model_from_json(doc["target"]),
-            spec=_distance_spec(args),
-            threshold=args.threshold,
-            algorithm=doc.get("algorithm", "sequential"),
-            order_keys=doc.get("order_keys"),
-        )
-        result = classical.search_min_mismatch(setup)
-        emit(
-            {
-                "index": result.index,
-                "comparisons": result.comparisons,
-                "mismatch": result.mismatch,
-            },
-            args,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown calculator {name!r}")
-    return 0
+def run_variety_check(args) -> dict:
+    result = classical.variety_invariance_check(args.model, args.relation)
+    return {
+        "state_classes": result.state_side,
+        "reflection_classes": result.reflection_side,
+        "equal": result.equal,
+    }
 
 
-def cmd_physics(args) -> int:
+def run_nyquist(args) -> dict:
+    doc = {"min_rate_hz": classical.nyquist_min_rate(args.period)}
+    if args.rate is not None:
+        doc["rate_hz"] = seconds(args.rate)
+        doc["restorable"] = classical.nyquist_restorable(args.rate, args.period)
+    return doc
+
+
+def run_aggregation_check(args) -> dict:
+    result = classical.aggregation_invariance_check(args.model, args.edges)
+    return {
+        "state_ratio": result.state_side,
+        "reflection_ratio": result.reflection_side,
+        "equal": result.equal,
+    }
+
+
+def run_metcalfe(args) -> dict:
+    doc = {"nodes": args.nodes, "value": classical.metcalfe_value(args.nodes)}
+    if args.model is not None:
+        result = classical.network_value_check(args.model, args.nodes)
+        doc["scope_times_coverage"] = result.scope_times_coverage
+        doc["equal"] = result.equal
+    return doc
+
+
+def _kalman_scenario(doc: dict):
+    matrices = {key: doc[key] for key in ("A", "H", "Q", "R", "x0", "P0")}
+    return classical.LinearSystemSpec(**matrices, B=doc.get("B")), doc["z"], doc.get("U")
+
+
+def run_kalman(args) -> dict:
+    system, measurements, inputs = args.scenario
+    steps = classical.kalman_filter(system, measurements, inputs)
+    return {
+        "steps": [
+            {"step": k + 1, "x": s.x, "P": s.P, "gain": s.gain} for k, s in enumerate(steps)
+        ]
+    }
+
+
+def run_asl(args) -> dict:
+    value = classical.asl(args.algorithm, args.n)
+    return {"algorithm": args.algorithm, "n": args.n, "asl": value}
+
+
+def _search_scenario(doc: dict) -> dict:
+    return {
+        "candidates": [model_from_json(m) for m in doc["candidates"]],
+        "target": model_from_json(doc["target"]),
+        "algorithm": doc.get("algorithm", "sequential"),
+        "order_keys": doc.get("order_keys"),
+    }
+
+
+def run_search(args) -> dict:
+    setup = classical.SearchSetup(
+        **args.scenario, spec=_distance_spec(args), threshold=args.threshold
+    )
+    result = classical.search_min_mismatch(setup)
+    return {"index": result.index, "comparisons": result.comparisons, "mismatch": result.mismatch}
+
+
+def run_quantum(args) -> dict:
+    qv = physics.quantum_volume(args.energy, args.time, args.constants)
+    return {
+        "exact_qubits": qv.exact,
+        "asymptotic_qubits": qv.asymptotic,
+        "transition_time_s": qv.transition_time,
+        "relative_gap": qv.relative_gap,
+        "profile": qv.profile,
+    }
+
+
+def run_carrier(args) -> dict:
+    spec = physics.CarrierSpec(args.mass, args.radiation, args.count, args.time)
+    return physics.carrier_volume(spec, args.regime, args.constants)
+
+
+def run_bitmass(args) -> dict:
     consts = args.constants
-    name = args.computation
-    if name == "quantum":
-        qv = physics.quantum_volume(args.energy, args.time, consts)
-        emit(
-            {
-                "exact_qubits": qv.exact,
-                "asymptotic_qubits": qv.asymptotic,
-                "transition_time_s": qv.transition_time,
-                "relative_gap": qv.relative_gap,
-                "profile": qv.profile,
-            },
-            args,
-        )
-    elif name == "carrier":
-        spec = physics.CarrierSpec(
-            mass=args.mass,
-            radiation_energy=args.radiation,
-            quantum_count=args.count,
-            duration=args.time,
-        )
-        emit(physics.carrier_volume(spec, args.regime, consts), args)
-    elif name == "bitmass":
-        emit(
-            {
-                "temperature_K": args.temperature,
-                "min_bit_mass_kg": physics.min_bit_mass(args.temperature, consts),
-                "bits_per_kg": physics.bits_per_kg(args.temperature, consts),
-                "note": "classical equilibrium memory only; not for quantum carriers",
-                "profile": consts.name,
-            },
-            args,
-        )
-    elif name == "qubit-rate":
-        emit(physics.qubits_per_kg_second(consts), args)
-    elif name == "universe":
-        emit(physics.universe_info(consts, args.radius_ly, args.age), args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown computation {name!r}")
-    return 0
+    return {
+        "temperature_K": args.temperature,
+        "min_bit_mass_kg": physics.min_bit_mass(args.temperature, consts),
+        "bits_per_kg": physics.bits_per_kg(args.temperature, consts),
+        "note": "classical equilibrium memory only; not for quantum carriers",
+        "profile": consts.name,
+    }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--output", help="write the report to a file instead of stdout")
+class Command:
+    """One row of `COMMANDS`, as the module docstring describes."""
+
+    def __init__(self, description: str, run: Callable | None = None, *args, help=None):
+        self.description = description
+        self.run = run
+        self.args = args
+        self.help = help
+
+
+def arg(*flags: str, **options) -> tuple:
+    """One argument spec: the `add_argument` flags and options."""
+    return flags, options
+
+
+MODEL_FILE = reader("model", model_from_json)
+LABELS_FILE = reader("relation", lambda doc: metrics.EquivalenceRelation(doc["labels"]))
+EDGES_FILE = reader("edges", lambda doc: metrics.RelationSet(doc["edges"]))
+MODEL = arg("model", type=MODEL_FILE)
+CONSTANTS = arg(
+    "--constants",
+    type=_parse_constants,
+    default=physics.PAPER,
+    help="constants profile: 'paper', 'codata', or a JSON file",
+)
+DISTANCE = arg("--distance", choices=metrics.DISTANCE_KINDS, default="L2")
+
+COMMANDS: dict[tuple[str, ...], Command] = {
+    ("validate",): Command(
+        "Check a model file against the structural postulates (nonempty "
+        "noumena/carriers, resolvable states, total surjective mapping) "
+        "and report whether the mapping is restorable.",
+        run_validate,
+        MODEL,
+        help="check the four structural postulates and restorability",
+    ),
+    ("metrics",): Command(
+        "Compute volume, delay, scope, granularity, variety, duration, "
+        "sampling rate, aggregation, coverage, distortion and mismatch, "
+        "skipping any metric whose inputs are not supplied.",
+        run_metrics,
+        MODEL,
+        arg("--relation", type=LABELS_FILE, help="JSON file with {'labels': {state_index: label}}"),
+        arg("--edges", type=EDGES_FILE, help="JSON file with {'edges': [[i, j, label], ...]}"),
+        arg("--gaps", help="JSON list of [lo, hi] occurrence gaps"),
+        arg("--target", type=MODEL_FILE, help="model file to measure mismatch against"),
+        arg("--restored", help="JSON value for the distortion input"),
+        arg("--truth", help="JSON value for the distortion reference"),
+        DISTANCE,
+        arg("--weights", help="six component weights, e.g. '1,1,1,1,1,1'"),
+        help="compute the eleven information metrics for a model",
+    ),
+    ("restore",): Command(
+        "Recover the state entry behind one reflection entry of a restorable model.",
+        run_restore,
+        MODEL,
+        arg("--index", type=int, required=True),
+        help="invert the mapping at a reflection entry",
+    ),
+    ("chain",): Command(
+        "Compose a chain of restorable links into one end-to-end model; "
+        "the composed delay is the exact sum of the link delays.",
+        run_chain,
+        arg(
+            "chain",
+            type=reader("chain", chain_from_json),
+            help="JSON file: a list of models or {'links': [...]}",
+        ),
+        help="compose a serial transmission chain",
+    ),
+    ("classical",): Command(
+        "Shannon entropy bound, serial delay, radar range equation, "
+        "Rayleigh resolution, variety/aggregation invariance, MTBF "
+        "average duration, Nyquist rate, Metcalfe value, Kalman filter, "
+        "and average-search-length accounting.",
+        help="calculators for the classical principles behind each metric",
+    ),
+    ("classical", "entropy"): Command(
+        "Shannon source-coding bound in bits.",
+        run_entropy,
+        arg("--probs", required=True, help="probabilities, e.g. '0.5,0.25,0.25'"),
+    ),
+    ("classical", "chain-delay"): Command(
+        "Sum of serial link delays, exact.",
+        run_chain_delay,
+        arg("--delays", required=True, help="delays in seconds, e.g. '1,2,3'"),
+    ),
+    ("classical", "radar"): Command(
+        "Radar range equation: max range from scope.",
+        run_radar,
+        arg("--power", type=float, required=True, help="transmit power, W"),
+        arg("--gain", type=float, required=True, help="antenna gain"),
+        arg("--aperture", type=float, required=True, help="effective aperture, m^2"),
+        arg("--min-signal", type=float, required=True, help="min detectable signal, W"),
+        arg("--sigma", type=float, required=True, help="target reflection area, m^2"),
+    ),
+    ("classical", "rayleigh"): Command(
+        "Rayleigh criterion: wavelength / aperture width.",
+        lambda args: {
+            "granularity_rad": classical.rayleigh_granularity(args.wavelength, args.aperture)
+        },
+        arg("--wavelength", type=float, required=True, help="m"),
+        arg("--aperture", type=float, required=True, help="m"),
+    ),
+    ("classical", "variety-check"): Command(
+        "Equivalence-class count is preserved through a restorable mapping.",
+        run_variety_check,
+        MODEL,
+        arg("--relation", type=LABELS_FILE, required=True),
+    ),
+    ("classical", "mtbf"): Command(
+        "Mean duration over monitoring sessions.",
+        lambda args: {"mean_duration_s": classical.mtbf_duration(json.loads(args.sessions))},
+        arg("--sessions", required=True, help="JSON [[sup, inf], ...]"),
+    ),
+    ("classical", "nyquist"): Command(
+        "Minimum restorable sampling rate of periodic information.",
+        run_nyquist,
+        arg("--period", required=True, help="signal period, s"),
+        arg("--rate", help="sampling rate to test, 1/s"),
+    ),
+    ("classical", "aggregation-check"): Command(
+        "Relations-per-element ratio is preserved through a restorable mapping.",
+        run_aggregation_check,
+        MODEL,
+        arg("--edges", type=EDGES_FILE, required=True),
+    ),
+    ("classical", "metcalfe"): Command(
+        "Network value n^2 = max scope x max coverage.",
+        run_metcalfe,
+        arg("--nodes", type=int, required=True),
+        arg("--model", type=MODEL_FILE, help="optional network model file to cross-check"),
+    ),
+    ("classical", "kalman"): Command(
+        "Discrete Kalman filter: minimum-distortion state estimate; "
+        "scenario file with A, H, Q, R, x0, P0 and measurements z.",
+        run_kalman,
+        arg("scenario", type=reader("Kalman scenario", _kalman_scenario)),
+    ),
+    ("classical", "asl"): Command(
+        "Average search length, sequential or bisection.",
+        run_asl,
+        arg("--algorithm", choices=("sequential", "bisection"), required=True),
+        arg("--n", type=int, required=True),
+    ),
+    ("classical", "search"): Command(
+        "Minimum-mismatch lookup over candidate models.",
+        run_search,
+        arg("scenario", type=reader("search scenario", _search_scenario)),
+        arg("--threshold", type=float, default=0.0),
+        DISTANCE,
+        arg("--weights"),
+    ),
+    ("physics",): Command(
+        "Margolus-Levitin qubit counting for a single quantum, the "
+        "matter/radiation carrier volume, the thermodynamic bit-mass "
+        "bound, and the whole-universe information budget.",
+        None,
+        CONSTANTS,
+        help="quantum and cosmological information volumes",
+    ),
+    ("physics", "quantum"): Command(
+        "Distinguishable states of one quantum over a window.",
+        run_quantum,
+        arg("--energy", type=float, required=True, help="average energy, J"),
+        arg("--time", type=float, required=True, help="window length, s"),
+    ),
+    ("physics", "carrier"): Command(
+        "Qubit volume of a matter/radiation carrier.",
+        run_carrier,
+        arg("--mass", type=float, default=0.0, help="kg"),
+        arg("--radiation", type=float, default=0.0, help="J"),
+        arg("--count", type=float, default=0.0, help="number of quanta"),
+        arg("--time", type=float, default=0.0, help="window length, s"),
+        arg("--regime", choices=physics.REGIMES, required=True),
+    ),
+    ("physics", "bitmass"): Command(
+        "Thermodynamic minimum mass per bit and bits per kg.",
+        run_bitmass,
+        arg("--temperature", type=float, default=300.0, help="K"),
+    ),
+    ("physics", "qubit-rate"): Command(
+        "Long-window qubit rate of 1 kg: 4*C^2/h.",
+        lambda args: physics.qubits_per_kg_second(args.constants),
+    ),
+    ("physics", "universe"): Command(
+        "Critical-density information budget of the universe.",
+        lambda args: physics.universe_info(args.constants, args.radius_ly, args.age),
+        arg("--radius-ly", type=float, default=4.56e10, help="light-years"),
+        arg("--age", type=float, default=4.3e17, help="s"),
+    ),
+    ("demo",): Command(
+        "End-to-end demonstration: validate and measure the built-in "
+        "penguin picture model, then compute the universe information "
+        "budget under the chosen constants profile.",
+        run_demo,
+        CONSTANTS,
+        help="run the built-in picture-file and universe scenarios",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The argparse tree of `COMMANDS`; each leaf parser carries its row."""
+    root = argparse.ArgumentParser(
         prog="oitkit",
         description=(
             "Sextuple information models: validation, metrics, classical "
             "calculators, and physical information budgets."
         ),
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser(
-        "validate",
-        help="check the four structural postulates and restorability",
-        description=(
-            "Check a model file against the structural postulates (nonempty "
-            "noumena/carriers, resolvable states, total surjective mapping) "
-            "and report whether the mapping is restorable."
-        ),
-    )
-    p.add_argument("model")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser(
-        "metrics",
-        help="compute the eleven information metrics for a model",
-        description=(
-            "Compute volume, delay, scope, granularity, variety, duration, "
-            "sampling rate, aggregation, coverage, distortion and mismatch, "
-            "skipping any metric whose inputs are not supplied."
-        ),
-    )
-    p.add_argument("model")
-    p.add_argument("--relation", help="JSON file with {'labels': {state_index: label}}")
-    p.add_argument("--edges", help="JSON file with {'edges': [[i, j, label], ...]}")
-    p.add_argument("--gaps", help="JSON list of [lo, hi] occurrence gaps")
-    p.add_argument("--target", help="model file to measure mismatch against")
-    p.add_argument("--restored", help="JSON value for the distortion input")
-    p.add_argument("--truth", help="JSON value for the distortion reference")
-    p.add_argument("--distance", choices=metrics.DISTANCE_KINDS, default="L2")
-    p.add_argument("--weights", help="six component weights, e.g. '1,1,1,1,1,1'")
-    _add_common(p)
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser(
-        "restore",
-        help="invert the mapping at a reflection entry",
-        description="Recover the state entry behind one reflection entry of a restorable model.",
-    )
-    p.add_argument("model")
-    p.add_argument("--index", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_restore)
-
-    p = sub.add_parser(
-        "chain",
-        help="compose a serial transmission chain",
-        description=(
-            "Compose a chain of restorable links into one end-to-end model; "
-            "the composed delay is the exact sum of the link delays."
-        ),
-    )
-    p.add_argument("chain", help="JSON file: a list of models or {'links': [...]}")
-    _add_common(p)
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser(
-        "classical",
-        help="calculators for the classical principles behind each metric",
-        description=(
-            "Shannon entropy bound, serial delay, radar range equation, "
-            "Rayleigh resolution, variety/aggregation invariance, MTBF "
-            "average duration, Nyquist rate, Metcalfe value, Kalman filter, "
-            "and average-search-length accounting."
-        ),
-    )
-    csub = p.add_subparsers(dest="calculator", required=True)
-
-    c = csub.add_parser("entropy", description="Shannon source-coding bound in bits.")
-    c.add_argument("--probs", required=True, help="probabilities, e.g. '0.5,0.25,0.25'")
-    _add_common(c)
-    c = csub.add_parser("chain-delay", description="Sum of serial link delays, exact.")
-    c.add_argument("--delays", required=True, help="delays in seconds, e.g. '1,2,3'")
-    _add_common(c)
-    c = csub.add_parser("radar", description="Radar range equation: max range from scope.")
-    c.add_argument("--power", type=float, required=True, help="transmit power, W")
-    c.add_argument("--gain", type=float, required=True, help="antenna gain")
-    c.add_argument("--aperture", type=float, required=True, help="effective aperture, m^2")
-    c.add_argument("--min-signal", type=float, required=True, help="min detectable signal, W")
-    c.add_argument("--sigma", type=float, required=True, help="target reflection area, m^2")
-    _add_common(c)
-    c = csub.add_parser("rayleigh", description="Rayleigh criterion: wavelength / aperture width.")
-    c.add_argument("--wavelength", type=float, required=True, help="m")
-    c.add_argument("--aperture", type=float, required=True, help="m")
-    _add_common(c)
-    c = csub.add_parser(
-        "variety-check",
-        description="Equivalence-class count is preserved through a restorable mapping.",
-    )
-    c.add_argument("model")
-    c.add_argument("--relation", required=True)
-    _add_common(c)
-    c = csub.add_parser("mtbf", description="Mean duration over monitoring sessions.")
-    c.add_argument("--sessions", required=True, help="JSON [[sup, inf], ...]")
-    _add_common(c)
-    c = csub.add_parser(
-        "nyquist", description="Minimum restorable sampling rate of periodic information."
-    )
-    c.add_argument("--period", required=True, help="signal period, s")
-    c.add_argument("--rate", help="sampling rate to test, 1/s")
-    _add_common(c)
-    c = csub.add_parser(
-        "aggregation-check",
-        description="Relations-per-element ratio is preserved through a restorable mapping.",
-    )
-    c.add_argument("model")
-    c.add_argument("--edges", required=True)
-    _add_common(c)
-    c = csub.add_parser("metcalfe", description="Network value n^2 = max scope x max coverage.")
-    c.add_argument("--nodes", type=int, required=True)
-    c.add_argument("--model", help="optional network model file to cross-check")
-    _add_common(c)
-    c = csub.add_parser(
-        "kalman",
-        description=(
-            "Discrete Kalman filter: minimum-distortion state estimate; "
-            "scenario file with A, H, Q, R, x0, P0 and measurements z."
-        ),
-    )
-    c.add_argument("scenario")
-    _add_common(c)
-    c = csub.add_parser("asl", description="Average search length, sequential or bisection.")
-    c.add_argument("--algorithm", choices=("sequential", "bisection"), required=True)
-    c.add_argument("--n", type=int, required=True)
-    _add_common(c)
-    c = csub.add_parser(
-        "search", description="Minimum-mismatch lookup over candidate models."
-    )
-    c.add_argument("scenario")
-    c.add_argument("--threshold", type=float, default=0.0)
-    c.add_argument("--distance", choices=metrics.DISTANCE_KINDS, default="L2")
-    c.add_argument("--weights")
-    _add_common(c)
-    p.set_defaults(func=cmd_classical)
-
-    p = sub.add_parser(
-        "physics",
-        help="quantum and cosmological information volumes",
-        description=(
-            "Margolus-Levitin qubit counting for a single quantum, the "
-            "matter/radiation carrier volume, the thermodynamic bit-mass "
-            "bound, and the whole-universe information budget."
-        ),
-    )
-    p.add_argument(
-        "--constants",
-        type=_parse_constants,
-        default=physics.PAPER,
-        help="constants profile: 'paper', 'codata', or a JSON file",
-    )
-    psub = p.add_subparsers(dest="computation", required=True)
-    c = psub.add_parser(
-        "quantum", description="Distinguishable states of one quantum over a window."
-    )
-    c.add_argument("--energy", type=float, required=True, help="average energy, J")
-    c.add_argument("--time", type=float, required=True, help="window length, s")
-    _add_common(c)
-    c = psub.add_parser(
-        "carrier", description="Qubit volume of a matter/radiation carrier."
-    )
-    c.add_argument("--mass", type=float, default=0.0, help="kg")
-    c.add_argument("--radiation", type=float, default=0.0, help="J")
-    c.add_argument("--count", type=float, default=0.0, help="number of quanta")
-    c.add_argument("--time", type=float, default=0.0, help="window length, s")
-    c.add_argument("--regime", choices=physics.REGIMES, required=True)
-    _add_common(c)
-    c = psub.add_parser(
-        "bitmass", description="Thermodynamic minimum mass per bit and bits per kg."
-    )
-    c.add_argument("--temperature", type=float, default=300.0, help="K")
-    _add_common(c)
-    c = psub.add_parser(
-        "qubit-rate", description="Long-window qubit rate of 1 kg: 4*C^2/h."
-    )
-    _add_common(c)
-    c = psub.add_parser(
-        "universe", description="Critical-density information budget of the universe."
-    )
-    c.add_argument("--radius-ly", type=float, default=4.56e10, help="light-years")
-    c.add_argument("--age", type=float, default=4.3e17, help="s")
-    _add_common(c)
-    p.set_defaults(func=cmd_physics)
-
-    p = sub.add_parser(
-        "demo",
-        help="run the built-in picture-file and universe scenarios",
-        description=(
-            "End-to-end demonstration: validate and measure the built-in "
-            "penguin picture model, then compute the universe information "
-            "budget under the chosen constants profile."
-        ),
-    )
-    p.add_argument(
-        "--constants",
-        type=_parse_constants,
-        default=physics.PAPER,
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_demo)
-    return parser
+    subparsers = {(): root.add_subparsers(dest="verb", required=True)}
+    for path, row in COMMANDS.items():
+        parser = subparsers[path[:-1]].add_parser(
+            path[-1], help=row.help, description=row.description
+        )
+        for flags, options in row.args:
+            parser.add_argument(*flags, **options)
+        if row.run is None:
+            subparsers[path] = parser.add_subparsers(dest="verb", required=True)
+            continue
+        parser.add_argument("--format", choices=("json", "text"), default="text")
+        parser.add_argument("--output", help="write the report to a file instead of stdout")
+        parser.set_defaults(command=row)
+    return root
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        return args.func(args)
+        report = args.command.run(args)
+        emit(report, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (OitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
+    return 0 if report.get("valid", True) else DOMAIN_EXIT
 
 
 if __name__ == "__main__":

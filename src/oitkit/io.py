@@ -124,15 +124,15 @@ def load_model(path: str | Path) -> InformationModel:
         return model_from_json(json.load(handle))
 
 
-def dump_model(model: InformationModel, path: str | Path) -> None:
-    Path(path).write_text(to_json_text(model_to_json(model)) + "\n", encoding="utf-8")
+def chain_from_json(doc: list | dict) -> list[InformationModel]:
+    """The links of a chain document: a list of models or {"links": [...]}."""
+    links = doc if isinstance(doc, list) else doc["links"]
+    return [model_from_json(link) for link in links]
 
 
 def load_chain(path: str | Path) -> list[InformationModel]:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    links = doc if isinstance(doc, list) else doc["links"]
-    return [model_from_json(link) for link in links]
+        return chain_from_json(json.load(handle))
 
 
 def json_ready(obj: Any) -> Any:

@@ -226,3 +226,54 @@ def test_output_flag_writes_file(capsys, fixtures_dir, tmp_path):
     assert code == 0
     assert stdout == ""
     assert json.loads(out.read_text())["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        pytest.param(["chain", "{missing}"], "missing", id="chain-missing-file"),
+        pytest.param(["chain", "{garbled}"], "garbled", id="chain-unparseable"),
+        pytest.param(["chain", "{empty}"], "empty", id="chain-no-links"),
+        pytest.param(["classical", "kalman", "{empty}"], "empty", id="kalman-no-A"),
+        pytest.param(["classical", "search", "{empty}"], "empty", id="search-no-candidates"),
+        pytest.param(
+            ["metrics", "{penguin}", "--relation", "{empty}"], "empty", id="metrics-no-labels"
+        ),
+        pytest.param(
+            ["classical", "variety-check", "{penguin}", "--relation", "{empty}"],
+            "empty",
+            id="variety-check-no-labels",
+        ),
+        pytest.param(
+            ["classical", "aggregation-check", "{penguin}", "--edges", "{empty}"],
+            "empty",
+            id="aggregation-check-no-edges",
+        ),
+        pytest.param(["validate", "{array}"], "array", id="validate-array"),
+        pytest.param(
+            ["physics", "--constants", "{array}", "universe"], "array", id="constants-array"
+        ),
+        pytest.param(
+            ["validate", "{penguin}", "--output", "{missing_dir}"],
+            "missing_dir",
+            id="output-missing-dir",
+        ),
+    ],
+)
+def test_bad_files_are_usage_errors_naming_the_file(capsys, fixtures_dir, tmp_path, argv, bad):
+    files = {
+        "missing": tmp_path / "missing.json",
+        "garbled": tmp_path / "garbled.json",
+        "empty": tmp_path / "empty.json",
+        "array": tmp_path / "array.json",
+        "penguin": fixtures_dir / "penguin.json",
+        "missing_dir": tmp_path / "no-such-dir" / "report.json",
+    }
+    files["garbled"].write_text("{not json")
+    files["empty"].write_text("{}")
+    files["array"].write_text("[1, 2]")
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and str(files[bad]) in err
