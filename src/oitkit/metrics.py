@@ -41,9 +41,6 @@ class EquivalenceRelation:
     def __post_init__(self):
         object.__setattr__(self, "labels", {int(k): v for k, v in self.labels.items()})
 
-    def label_of(self, index: int):
-        return self.labels[index]
-
 
 @dataclass(frozen=True)
 class RelationSet:

@@ -141,12 +141,6 @@ class InformationModel:
         object.__setattr__(self, "enabled", bool(enabled))
         object.__setattr__(self, "label", label)
 
-    def reflection_of(self, state_index: int) -> int:
-        for s, r in self.mapping:
-            if s == state_index:
-                return r
-        raise UnknownIndexError(f"state index {state_index} not in mapping")
-
     def mapping_signature(self) -> tuple:
         """Value-level content of the mapping, for equivalence comparisons."""
         pairs = sorted(

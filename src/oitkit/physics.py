@@ -149,7 +149,6 @@ class CarrierSpec:
     radiation_energy: float = 0.0  # J
     quantum_count: float = 0.0
     duration: float = 0.0  # s
-    temperature: float = 300.0  # K, used by the bit-mass bound
 
     def __post_init__(self):
         for fieldname in ("mass", "radiation_energy", "quantum_count", "duration"):
