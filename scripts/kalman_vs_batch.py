@@ -1,47 +1,23 @@
 #!/usr/bin/env python3
 """Compare the recursive filter against a batch linear-MMSE solve.
 
-For each random system the stacked joint Gaussian of all states and
-measurements is formed explicitly and conditioned on the measurements; the
-recursion must reproduce that posterior mean step by step. Prints the worst
-relative deviation seen.
+For each random system the tests' oracle (`tests/oracles.py`) forms the
+stacked joint Gaussian of all states and measurements explicitly and
+conditions it on the measurements; the recursion must reproduce that
+posterior mean step by step. Prints the worst relative deviation seen.
 
 Usage: python scripts/kalman_vs_batch.py [systems] [seed]
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from oitkit.classical import LinearSystemSpec, kalman_filter
 
-
-def batch_mmse(system: LinearSystemSpec, z: np.ndarray, k: int) -> np.ndarray:
-    """Posterior mean of x(k) given z(1..k), by stacking the joint Gaussian."""
-    n = system.state_dim
-    p = system.measurement_dim
-    A, H, Q, R = system.A, system.H, system.Q, system.R
-    means = []
-    m = system.x0.copy()
-    for _ in range(k):
-        m = A @ m
-        means.append(m.copy())
-    V = [system.P0.copy()]
-    for _ in range(k):
-        V.append(A @ V[-1] @ A.T + Q)
-    cov = np.zeros((k * n, k * n))
-    for i in range(1, k + 1):
-        for j in range(1, i + 1):
-            block = np.linalg.matrix_power(A, i - j) @ V[j]
-            cov[(i - 1) * n : i * n, (j - 1) * n : j * n] = block
-            cov[(j - 1) * n : j * n, (i - 1) * n : i * n] = block.T
-    H_blk = np.kron(np.eye(k), H)
-    R_blk = np.kron(np.eye(k), R)
-    S = H_blk @ cov @ H_blk.T + R_blk
-    prior = np.concatenate(means)
-    innovation = z[:k].reshape(-1) - H_blk @ prior
-    posterior = prior + cov @ H_blk.T @ np.linalg.solve(S, innovation)
-    return posterior[-n:]
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import batch_mmse  # noqa: E402  (the tests' independent Kalman oracle)
 
 
 def random_system(rng: np.random.Generator) -> tuple[LinearSystemSpec, np.ndarray]:
