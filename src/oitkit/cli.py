@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flags, options in row.args:
             parser.add_argument(*flags, **options)
         if row.run is None:
-            subparsers[path] = parser.add_subparsers(dest="verb", required=True)
+            subparsers[path] = parser.add_subparsers(dest="subcommand", required=True)
             continue
         parser.add_argument("--format", choices=("json", "text"), default="text")
         parser.add_argument("--output", help="write the report to a file instead of stdout")
@@ -540,9 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         report = args.command.run(args)
         emit(report, args)
     except UsageError as exc:
