@@ -111,8 +111,7 @@ def variety_invariance_check(
     if missing:
         raise PartialRelationError(f"relation does not label states {missing}")
     label_of_key: dict = {}
-    for i, entry in enumerate(model.states):
-        key = entry.key()
+    for i, key in enumerate(model.state_keys):
         lab = relation.labels[i]
         if label_of_key.setdefault(key, lab) != lab:
             raise PartialRelationError(
@@ -134,16 +133,11 @@ def aggregation_invariance_check(
     _require_restorable(model)
     ratio_states = aggregation(model, rels)
     to_reflection = dict(model.mapping)
-    transported = set()
-    for a, b, lab in rels.edges:
-        transported.add(
-            (
-                model.reflections[to_reflection[a]].key(),
-                model.reflections[to_reflection[b]].key(),
-                lab,
-            )
-        )
-    distinct_reflections = {e.key() for e in model.reflections}
+    keys = model.reflection_keys
+    transported = {
+        (keys[to_reflection[a]], keys[to_reflection[b]], lab) for a, b, lab in rels.edges
+    }
+    distinct_reflections = set(keys)
     ratio_reflections = Fraction(len(transported), len(distinct_reflections))
     return InvarianceResult(ratio_states, ratio_reflections, ratio_states == ratio_reflections)
 

@@ -173,23 +173,20 @@ def sampling_rate(model: InformationModel, gaps: Sequence[tuple] | None = None) 
     return Fraction(len(resolved)) / total
 
 
-def _distinct_state_keys(model: InformationModel) -> set:
-    return {entry.key() for entry in model.states}
-
-
 def _value_level_edges(model: InformationModel, rels: RelationSet) -> set:
+    keys = model.state_keys
     edges = set()
     for a, b, lab in rels.edges:
-        if not (0 <= a < len(model.states) and 0 <= b < len(model.states)):
+        if not (0 <= a < len(keys) and 0 <= b < len(keys)):
             raise PartialRelationError(f"edge ({a}, {b}, {lab!r}) references unknown states")
-        edges.add((model.states[a].key(), model.states[b].key(), lab))
+        edges.add((keys[a], keys[b], lab))
     return edges
 
 
 def aggregation(model: InformationModel, rels: RelationSet) -> Fraction:
     """Distinct labelled relations per distinct state value."""
     require_valid(model)
-    keys = _distinct_state_keys(model)
+    keys = set(model.state_keys)
     if not keys:
         raise EmptyStateError("model has no states")
     return Fraction(len(_value_level_edges(model, rels)), len(keys))
@@ -244,16 +241,15 @@ def _combine_entry_distances(dists, kind: str):
     return math.sqrt(math.fsum(float(d) * float(d) for d in dists))
 
 
-def _state_set_distance(left, right, kind: str):
-    """Distance between two entry lists, on their values.
+def _state_set_distance(left, right, lkeys: tuple, rkeys: tuple, kind: str):
+    """Distance between two entry lists with key tables `lkeys` and `rkeys`,
+    on their values.
 
     Aligned lists (equal length, pairwise comparable values) get the product
     metric of the chosen kind; unalignable lists fall back to the discrete
     0/1 distance on whole-set equality, which sits outside the metric-axiom
     domain and is only meant as a coarse signal.
     """
-    lkeys = [e.key() for e in left]
-    rkeys = [e.key() for e in right]
     if lkeys == rkeys:
         return 0
     if len(left) != len(right):
@@ -285,10 +281,18 @@ def mismatch(
     parts = [
         0 if model.noumena == target.noumena else 1,
         _timeset_distance(model.occurrence, target.occurrence),
-        _state_set_distance(model.states, target.states, spec.kind),
+        _state_set_distance(
+            model.states, target.states, model.state_keys, target.state_keys, spec.kind
+        ),
         0 if model.carriers == target.carriers else 1,
         _timeset_distance(model.reflection_time, target.reflection_time),
-        _state_set_distance(model.reflections, target.reflections, spec.kind),
+        _state_set_distance(
+            model.reflections,
+            target.reflections,
+            model.reflection_keys,
+            target.reflection_keys,
+            spec.kind,
+        ),
     ]
     return _exact_sum([wi * pi for wi, pi in zip(w, parts)])
 

@@ -4,7 +4,9 @@ A model instance ties together a set of noumenon elements, a set of carrier
 elements, the time sets over which each side exists, the state entries of the
 noumena, the reflection entries of the carriers, and a total surjective
 mapping from state entries to reflection entries. Everything is an immutable
-value; operations are pure functions.
+value; operations are pure functions. Because a model cannot change, it
+validates itself once and builds its lookup tables once, on first use, and
+keeps them on the instance.
 
 State and reflection values come in three kinds: symbolic tokens (str),
 numeric scalars, and numeric vectors. Equality between entries is decided on
@@ -15,10 +17,13 @@ invariance checks quantify over.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from numbers import Rational, Real
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     ChainMismatchError,
@@ -73,19 +78,30 @@ class StateEntry:
 @dataclass(frozen=True)
 class MeasureAssignment:
     """Nonnegative σ-values for noumenon elements, carrier elements and
-    reflection entries (the latter keyed by reflection index)."""
+    reflection entries (the latter keyed by reflection index).
 
-    noumenon: dict = field(default_factory=dict)
-    carrier: dict = field(default_factory=dict)
-    reflection: dict = field(default_factory=dict)
+    The tables are read-only copies of the mappings passed in, so a model's
+    cached validation report can never go stale.
+    """
+
+    noumenon: Mapping = field(default_factory=dict)
+    carrier: Mapping = field(default_factory=dict)
+    reflection: Mapping = field(default_factory=dict)
     reflection_unit: str = "bit"
 
     def __post_init__(self):
-        object.__setattr__(self, "noumenon", dict(self.noumenon))
-        object.__setattr__(self, "carrier", dict(self.carrier))
+        object.__setattr__(self, "noumenon", MappingProxyType(dict(self.noumenon)))
+        object.__setattr__(self, "carrier", MappingProxyType(dict(self.carrier)))
         object.__setattr__(
-            self, "reflection", {int(k): v for k, v in self.reflection.items()}
+            self,
+            "reflection",
+            MappingProxyType({int(k): v for k, v in self.reflection.items()}),
         )
+
+    def __reduce__(self):
+        # read-only proxies cannot be pickled or deep-copied; their tables can
+        tables = (dict(self.noumenon), dict(self.carrier), dict(self.reflection))
+        return (MeasureAssignment, (*tables, self.reflection_unit))
 
 
 @dataclass(frozen=True)
@@ -141,10 +157,43 @@ class InformationModel:
         object.__setattr__(self, "enabled", bool(enabled))
         object.__setattr__(self, "label", label)
 
+    # Derived data, computed on first use and kept on the instance. Every
+    # field is immutable, so none of it can go stale; `dataclasses.replace`
+    # builds a new instance, which starts with none of it.
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The report of `validate`, computed once per instance."""
+        return _check(self)
+
+    @cached_property
+    def state_keys(self) -> tuple:
+        """`StateEntry.key()` of each state entry, by index."""
+        return tuple(e.key() for e in self.states)
+
+    @cached_property
+    def reflection_keys(self) -> tuple:
+        """`StateEntry.key()` of each reflection entry, by index."""
+        return tuple(e.key() for e in self.reflections)
+
+    @cached_property
+    def _inverse(self) -> dict[int, int] | None:
+        """Reflection index -> its first state index in mapping order, or
+        None when the mapping is not injective on state values. Only
+        meaningful for a valid model."""
+        owner: dict[tuple, tuple] = {}
+        inverse: dict[int, int] = {}
+        for s, r in self.mapping:
+            skey = self.state_keys[s]
+            if owner.setdefault(self.reflection_keys[r], skey) != skey:
+                return None
+            inverse.setdefault(r, s)
+        return inverse
+
     def mapping_signature(self) -> tuple:
         """Value-level content of the mapping, for equivalence comparisons."""
         pairs = sorted(
-            (self.states[s].key(), self.reflections[r].key()) for s, r in self.mapping
+            (self.state_keys[s], self.reflection_keys[r]) for s, r in self.mapping
         )
         return tuple(pairs)
 
@@ -172,14 +221,31 @@ def validate(model: InformationModel) -> ValidationReport:
     Each violation names the postulate it corresponds to: binary attribute
     (nonempty noumena and carriers), existence duration (time sets), state
     representation (nonempty, resolvable state entries) and enabling mapping
-    (total, surjective).
+    (total, surjective). The checks run once per model instance; later calls
+    return the same report.
     """
+    return model.validation
+
+
+def _finite(value) -> bool:
+    """True for an int, a Fraction or a finite float."""
+    return isinstance(value, Rational) or (isinstance(value, Real) and math.isfinite(value))
+
+
+def _check(model: InformationModel) -> ValidationReport:
     bad: list[Violation] = []
     warn: list[Violation] = []
 
     def check(cond: bool, rule: str, message: str, postulate: str | None = None):
         if not cond:
             bad.append(Violation(rule, message, postulate))
+
+    def check_measure(value, rule: str, subject: str, negative: str):
+        """A measure must be a finite real number, and nonnegative."""
+        if not _finite(value):
+            bad.append(Violation(f"{rule}-numeric", f"{subject} is not a finite number"))
+        elif value < 0:
+            bad.append(Violation(f"{rule}-nonnegative", negative))
 
     check(bool(model.noumena), "noumena-nonempty", "noumenon set is empty", "postulate-1")
     check(bool(model.carriers), "carriers-nonempty", "carrier set is empty", "postulate-1")
@@ -261,21 +327,25 @@ def validate(model: InformationModel) -> ValidationReport:
                 f"{kind}-measure-resolves",
                 f"{kind} measure assigned to unknown element {key!r}",
             )
-            check(val >= 0, f"{kind}-measure-nonnegative", f"{kind} measure of {key!r} is negative")
+            subject = f"{kind} measure of {key!r}"
+            check_measure(val, f"{kind}-measure", subject, f"{subject} is negative")
     for idx, val in model.measures.reflection.items():
         check(
             0 <= idx < len(model.reflections),
             "reflection-measure-resolves",
             f"reflection measure assigned to unknown index {idx}",
         )
-        check(val >= 0, "reflection-measure-nonnegative", f"reflection measure of {idx} is negative")
+        subject = f"reflection measure of {idx}"
+        check_measure(val, "reflection-measure", subject, f"{subject} is negative")
     if model.copies is not None:
         for i, copy in enumerate(model.copies):
-            check(copy.carrier_measure >= 0, "copy-measure-nonnegative", f"copy {i} has negative measure")
-            check(copy.weight >= 0, "copy-weight-nonnegative", f"copy {i} has negative weight")
+            for rule, value, part in (
+                ("copy-measure", copy.carrier_measure, "measure"),
+                ("copy-weight", copy.weight, "weight"),
+            ):
+                check_measure(value, rule, f"copy {i} {part}", f"copy {i} has negative {part}")
 
-    keys = [e.key() for e in model.states]
-    if len(set(keys)) < len(keys):
+    if len(set(model.state_keys)) < len(model.states):
         warn.append(
             Violation(
                 "duplicate-state-values",
@@ -295,9 +365,8 @@ def validate(model: InformationModel) -> ValidationReport:
 
 
 def require_valid(model: InformationModel) -> None:
-    report = validate(model)
-    if not report.ok:
-        raise InvalidModelError(report)
+    if not model.validation.ok:
+        raise InvalidModelError(model.validation)
 
 
 def is_restorable(model: InformationModel) -> bool:
@@ -309,26 +378,18 @@ def is_restorable(model: InformationModel) -> bool:
     equal values.
     """
     require_valid(model)
-    image_owner: dict[tuple, tuple] = {}
-    for s, r in model.mapping:
-        skey = model.states[s].key()
-        rkey = model.reflections[r].key()
-        owner = image_owner.setdefault(rkey, skey)
-        if owner != skey:
-            return False
-    return True
+    return model._inverse is not None
 
 
 def restore(model: InformationModel, reflection_index: int) -> StateEntry:
-    """Invert the mapping at one reflection entry."""
+    """Invert the mapping at one reflection entry: the state entry mapped
+    there first, in mapping order."""
     if not is_restorable(model):
         raise NotRestorableError("mapping is not injective on state values")
     if not 0 <= reflection_index < len(model.reflections):
         raise UnknownIndexError(f"no reflection entry {reflection_index}")
-    for s, r in model.mapping:
-        if r == reflection_index:
-            return model.states[s]
-    raise UnknownIndexError(f"reflection {reflection_index} has no preimage")
+    # a valid mapping is surjective, so every in-range index has a preimage
+    return model.states[model._inverse[reflection_index]]
 
 
 @dataclass(frozen=True)
@@ -396,6 +457,7 @@ def decompose_atomic(model: InformationModel) -> list[AtomicInfo]:
     """
     require_valid(model)
     source = next(_atom_source_counter)
+    noumenon_table, carrier_table = model.measures.noumenon, model.measures.carrier
     atoms = []
     for s, r in sorted(model.mapping):
         state = model.states[s]
@@ -409,10 +471,10 @@ def decompose_atomic(model: InformationModel) -> list[AtomicInfo]:
                 reflection_index=r,
                 reflection_measure=model.measures.reflection.get(r),
                 noumenon_measure={
-                    k: v for k, v in model.measures.noumenon.items() if k in state.subjects
+                    k: noumenon_table[k] for k in sorted(state.subjects) if k in noumenon_table
                 },
                 carrier_measure={
-                    k: v for k, v in model.measures.carrier.items() if k in refl.subjects
+                    k: carrier_table[k] for k in sorted(refl.subjects) if k in carrier_table
                 },
                 source_id=source,
             )
@@ -509,9 +571,7 @@ def compose_chain(chain: Sequence[InformationModel]) -> InformationModel:
             raise ChainMismatchError(
                 f"junction {i}: reflection times of link {i} differ from occurrence times of link {i + 1}"
             )
-        if len(left.reflections) != len(right.states) or any(
-            a.key() != b.key() for a, b in zip(left.reflections, right.states)
-        ):
+        if left.reflection_keys != right.state_keys:
             raise ChainMismatchError(
                 f"junction {i}: reflection entries of link {i} do not equal the state entries of link {i + 1}"
             )

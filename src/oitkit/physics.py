@@ -128,6 +128,9 @@ def quantum_volume(energy: float, time: float, consts: PhysicalConstants = PAPER
     The count is floored in exact rational arithmetic, so it is never off by
     one from rounding of the big product.
     """
+    for name, value in (("energy", energy), ("time", time)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     if energy <= 0:
         raise ValueError("average quantum energy must be positive")
     if time < 0:

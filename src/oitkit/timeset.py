@@ -9,10 +9,12 @@ binary float.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral, Rational
+from operator import itemgetter
 from typing import Iterable, Union
 
 TimeLike = Union[int, str, float, Fraction, Decimal]
@@ -62,6 +64,17 @@ def seconds_str(value: Rational) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
+_start = itemgetter(0)
+
+
+def _covering(intervals, lo: Fraction, hi: Fraction) -> bool:
+    """True if [lo, hi] lies inside one of `intervals`, which must be sorted
+    and pairwise disjoint: only the last interval starting at or before `lo`
+    can hold it."""
+    i = bisect_right(intervals, lo, key=_start) - 1
+    return i >= 0 and hi <= intervals[i][1]
+
+
 @dataclass(frozen=True)
 class TimeSet:
     """A nonempty finite union of closed intervals and isolated points.
@@ -100,9 +113,7 @@ class TimeSet:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi_f))
             else:
                 merged.append((lo_f, hi_f))
-        kept = sorted(
-            {p for p in loose if not any(lo <= p <= hi for lo, hi in merged)}
-        )
+        kept = sorted({p for p in loose if not _covering(merged, p, p)})
         object.__setattr__(self, "intervals", tuple(merged))
         object.__setattr__(self, "points", tuple(kept))
 
@@ -134,13 +145,16 @@ class TimeSet:
 
     def contains(self, at: TimeLike) -> bool:
         t = seconds(at)
-        return any(lo <= t <= hi for lo, hi in self.intervals) or t in self.points
+        if _covering(self.intervals, t, t):
+            return True
+        i = bisect_left(self.points, t)
+        return i < len(self.points) and self.points[i] == t
 
     def issubset(self, other: "TimeSet") -> bool:
-        for lo, hi in self.intervals:
-            if not any(olo <= lo and hi <= ohi for olo, ohi in other.intervals):
-                return False
-        return all(other.contains(p) for p in self.points)
+        """Binary searches over the other set's canonical form: O(k log m)."""
+        return all(_covering(other.intervals, lo, hi) for lo, hi in self.intervals) and all(
+            other.contains(p) for p in self.points
+        )
 
     def union(self, other: "TimeSet") -> "TimeSet":
         return TimeSet(

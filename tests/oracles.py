@@ -23,6 +23,19 @@ def restorable_bruteforce(model) -> bool:
     return True
 
 
+def timeset_contains_bruteforce(ts, t) -> bool:
+    """Scan every interval and point of the set for `t`."""
+    return any(lo <= t <= hi for lo, hi in ts.intervals) or any(p == t for p in ts.points)
+
+
+def timeset_issubset_bruteforce(small, big) -> bool:
+    """Scan `big` for an interval holding each interval of `small`, and for
+    each point of `small`."""
+    return all(
+        any(olo <= lo and hi <= ohi for olo, ohi in big.intervals) for lo, hi in small.intervals
+    ) and all(timeset_contains_bruteforce(big, p) for p in small.points)
+
+
 def batch_mmse(system, measurements: np.ndarray, upto: int) -> np.ndarray:
     """Posterior mean E[x(k) | z(1..k)] from the stacked joint Gaussian.
 

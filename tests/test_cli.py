@@ -202,6 +202,41 @@ def test_physics_domain_error_exits_1(capsys):
     assert "energy" in err
 
 
+@pytest.mark.parametrize("flag", ["--energy", "--time"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_physics_quantum_rejects_non_finite_arguments(capsys, flag, value):
+    argv = {"--energy": "1e-20", "--time": "1", flag: value}
+    code, out, err = run(capsys, "physics", "quantum", *(x for pair in argv.items() for x in pair))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag[2:]} must be a finite number")
+
+
+@pytest.mark.parametrize(
+    "table, key, rule",
+    [
+        ("noumenon", "penguin-1", "noumenon-measure-numeric"),
+        ("carrier", "laptop", "carrier-measure-numeric"),
+        ("reflection", "0", "reflection-measure-numeric"),
+    ],
+)
+@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf")], ids=repr)
+def test_ill_typed_or_non_finite_measure_exits_1_naming_the_rule(
+    capsys, tmp_path, table, key, rule, bad
+):
+    doc = json.loads(to_json_text(model_to_json(penguin_model())))
+    doc["measures"][table][key] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert [v["rule"] for v in out["violations"]] == [rule]
+    assert "not a finite number" in out["violations"][0]["message"]
+    code, _, err = run(capsys, "metrics", str(path))
+    assert code == 1
+    assert err.startswith("error: model is invalid:") and "Traceback" not in err
+
+
 def test_demo_runs_end_to_end(capsys):
     code, doc, _ = run_json(capsys, "demo")
     assert code == 0

@@ -1,12 +1,18 @@
+import copy
+import dataclasses
+import math
+import pickle
 import random
 from itertools import product
 
 import pytest
 
+from oitkit import model as model_module
 from oitkit.errors import ChainMismatchError, InvalidModelError, NotRestorableError, OverlapError, UnknownIndexError
 from oitkit.generate import random_chain, random_restorable_model
-from oitkit.metrics import delay, volume
+from oitkit.metrics import EquivalenceRelation, RelationSet, delay, metric_report, volume
 from oitkit.model import (
+    CopyRecord,
     InformationModel,
     MeasureAssignment,
     StateEntry,
@@ -18,6 +24,7 @@ from oitkit.model import (
     restore,
     validate,
 )
+from oitkit.scenarios import penguin_model
 from oitkit.timeset import TimeSet
 
 from oracles import restorable_bruteforce
@@ -349,3 +356,80 @@ def test_enabled_flag_is_carried_and_propagates_through_chains(chain3):
         enabled=False,
     )
     assert not compose_chain([chain3[0], doubted, chain3[2]]).enabled
+
+
+ONE_PAIR = dict(
+    noumena=["n"],
+    carriers=["c"],
+    occurrence=T1,
+    reflection_time=T2,
+    states=[StateEntry(["n"], T1, "s0")],
+    reflections=[StateEntry(["c"], T2, "r0")],
+    mapping=[(0, 0)],
+)
+BAD_MEASURES = {
+    "noumenon-measure-numeric": lambda bad: dict(measures=MeasureAssignment(noumenon={"n": bad})),
+    "carrier-measure-numeric": lambda bad: dict(measures=MeasureAssignment(carrier={"c": bad})),
+    "reflection-measure-numeric": lambda bad: dict(measures=MeasureAssignment(reflection={0: bad})),
+    "copy-measure-numeric": lambda bad: dict(copies=[CopyRecord(bad)]),
+    "copy-weight-numeric": lambda bad: dict(copies=[CopyRecord(1, bad)]),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", None, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("rule", sorted(BAD_MEASURES))
+def test_ill_typed_and_non_finite_measures_are_violations(rule, bad):
+    report = validate(InformationModel(**{**ONE_PAIR, **BAD_MEASURES[rule](bad)}))
+    assert [(v.rule, v.message.endswith("is not a finite number")) for v in report.violations] == [
+        (rule, True)
+    ]
+
+
+def test_validate_returns_one_cached_report(penguin):
+    assert validate(penguin) is validate(penguin)
+
+
+def test_metric_report_checks_each_model_once(monkeypatch):
+    checked = []
+    check = model_module._check
+    monkeypatch.setattr(model_module, "_check", lambda m: checked.append(m) or check(m))
+    m, target = penguin_model(), penguin_model()
+    report = metric_report(
+        m,
+        relation=EquivalenceRelation({0: "a"}),
+        relations=RelationSet([(0, 0, "self")]),
+        target=target,
+    )
+    assert report["granularity"]["value"] == 3 and report["mismatch"]["value"] == 0
+    assert len(checked) == 2
+    assert checked[0] is m and checked[1] is target
+
+
+@pytest.mark.parametrize(
+    "table, key", [("noumenon", "penguin-1"), ("carrier", "laptop"), ("reflection", 0)]
+)
+def test_measure_tables_are_read_only(penguin, table, key):
+    with pytest.raises(TypeError):
+        getattr(penguin.measures, table)[key] = -5
+    assert validate(penguin).ok
+
+
+def test_frozen_models_still_pickle_and_deep_copy(penguin):
+    assert validate(penguin).ok
+    for clone in (pickle.loads(pickle.dumps(penguin)), copy.deepcopy(penguin)):
+        assert clone == penguin
+        with pytest.raises(TypeError):
+            clone.measures.reflection[0] = -5
+
+
+def test_replace_recomputes_the_report_and_indexes():
+    m = simple_model(2, [(0, 0), (1, 1)])
+    assert validate(m).ok and is_restorable(m)
+    assert restore(m, 1).value == "s1"
+    negative = dataclasses.replace(m, measures=MeasureAssignment(reflection={0: -5}))
+    assert [v.rule for v in validate(negative).violations] == ["reflection-measure-nonnegative"]
+    swapped = dataclasses.replace(m, mapping=[(0, 1), (1, 0)])
+    assert restore(swapped, 1).value == "s0"
+    merged = dataclasses.replace(m, reflections=[StateEntry(["c"], T2, "r")] * 2)
+    assert validate(merged).ok and not is_restorable(merged)
+    assert validate(m).ok and is_restorable(m)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oitkit.timeset import TimeSet, seconds, seconds_str
+
+from oracles import timeset_contains_bruteforce, timeset_issubset_bruteforce
 
 
 def test_parse_decimal_strings_exactly():
@@ -115,3 +117,57 @@ def test_gap_widths_fill_the_span(ts):
     # components plus gaps tile [inf, sup] exactly
     total_gap = sum((hi - lo for lo, hi in ts.gaps()), Fraction(0))
     assert ts.lebesgue() + total_gap == ts.sup - ts.inf
+
+
+# Coordinates on a coarse half-second grid, so that generated sets share and
+# touch endpoints and put points on interval boundaries as well as inside.
+grid = st.integers(min_value=0, max_value=16).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def grid_timesets(draw):
+    intervals = [tuple(sorted((draw(grid), draw(grid)))) for _ in range(draw(st.integers(0, 4)))]
+    points = draw(st.lists(grid, max_size=3))
+    if not intervals and not points:
+        points = [draw(grid)]
+    return TimeSet(intervals=intervals, points=points)
+
+
+@st.composite
+def subset_candidates(draw):
+    """A set and a candidate subset drawn around its components: pieces of
+    its intervals (often sharing their endpoints), its points and interval
+    endpoints, and stray grid coordinates that may fall in a gap."""
+    big = draw(grid_timesets())
+    intervals, points = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        choice = draw(st.sampled_from(("piece", "endpoint", "point", "stray")))
+        if choice == "piece" and big.intervals:
+            lo, hi = draw(st.sampled_from(big.intervals))
+            inside = st.integers(0, 4).map(lambda k: lo + (hi - lo) * k / 4)
+            intervals.append(tuple(sorted((draw(inside), draw(inside)))))
+        elif choice == "endpoint" and big.intervals:
+            points.append(draw(st.sampled_from(big.intervals))[draw(st.integers(0, 1))])
+        elif choice == "point" and big.points:
+            points.append(draw(st.sampled_from(big.points)))
+        else:
+            intervals.append(tuple(sorted((draw(grid), draw(grid)))))
+    return TimeSet(intervals=intervals, points=points), big
+
+
+@given(grid_timesets(), grid)
+@example(TimeSet(intervals=[(0, 1), (2, 3)]), Fraction(1))
+@example(TimeSet(intervals=[(0, 1), (2, 3)]), Fraction(3, 2))
+@example(TimeSet(intervals=[(0, 1)], points=[2]), Fraction(2))
+def test_contains_matches_linear_scan(ts, t):
+    assert ts.contains(t) == timeset_contains_bruteforce(ts, t)
+
+
+@given(subset_candidates())
+@example((TimeSet(intervals=[(0, 1)]), TimeSet(intervals=[(0, 1), (2, 3)])))
+@example((TimeSet(intervals=[(1, 2)]), TimeSet(intervals=[(0, 1), (2, 3)])))
+@example((TimeSet(points=[1, 2]), TimeSet(intervals=[(0, 1), (2, 3)])))
+@example((TimeSet(intervals=[(0, 2)]), TimeSet(intervals=[(0, 1)], points=[2])))
+def test_issubset_matches_linear_scan(pair):
+    small, big = pair
+    assert small.issubset(big) == timeset_issubset_bruteforce(small, big)
