@@ -227,11 +227,6 @@ def validate(model: InformationModel) -> ValidationReport:
     return model.validation
 
 
-def _finite(value) -> bool:
-    """True for an int, a Fraction or a finite float."""
-    return isinstance(value, Rational) or (isinstance(value, Real) and math.isfinite(value))
-
-
 def _check(model: InformationModel) -> ValidationReport:
     bad: list[Violation] = []
     warn: list[Violation] = []
@@ -241,8 +236,9 @@ def _check(model: InformationModel) -> ValidationReport:
             bad.append(Violation(rule, message, postulate))
 
     def check_measure(value, rule: str, subject: str, negative: str):
-        """A measure must be a finite real number, and nonnegative."""
-        if not _finite(value):
+        """A measure must be a finite real number (ints and Fractions always
+        are), and nonnegative."""
+        if not (isinstance(value, Rational) or (isinstance(value, Real) and math.isfinite(value))):
             bad.append(Violation(f"{rule}-numeric", f"{subject} is not a finite number"))
         elif value < 0:
             bad.append(Violation(f"{rule}-nonnegative", negative))

@@ -228,7 +228,7 @@ def test_ill_typed_or_non_finite_measure_exits_1_naming_the_rule(
     doc["measures"][table][key] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_json(capsys, "validate", str(path))
+    code, out, _ = run_json(capsys, "validate", str(path))
     assert code == 1
     assert [v["rule"] for v in out["violations"]] == [rule]
     assert "not a finite number" in out["violations"][0]["message"]
