@@ -14,9 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     NotRestorableError,
@@ -35,6 +33,11 @@ from .metrics import (
 )
 from .model import InformationModel, is_restorable
 from .timeset import seconds
+
+# numpy is imported inside the Kalman code that uses it, so importing oitkit
+# (and every CLI verb but `classical kalman`) does not pay for loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def shannon_min_volume(probabilities: Sequence[float]) -> float:
@@ -213,6 +216,8 @@ class LinearSystemSpec:
     B: np.ndarray | None = None
 
     def __init__(self, A, H, Q, R, x0, P0, B=None):
+        import numpy as np
+
         object.__setattr__(self, "A", np.asarray(A, dtype=float))
         object.__setattr__(self, "H", np.asarray(H, dtype=float))
         object.__setattr__(self, "Q", np.asarray(Q, dtype=float))
@@ -225,6 +230,8 @@ class LinearSystemSpec:
         self._check()
 
     def _check(self) -> None:
+        import numpy as np
+
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
@@ -267,6 +274,8 @@ class KalmanStep:
 
 def _spd_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve S·X = rhs for symmetric positive definite S via Cholesky."""
+    import numpy as np
+
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
@@ -289,6 +298,8 @@ def kalman_filter(
     explicitly), then update state and covariance. The updated covariance is
     re-symmetrised to keep it positive semidefinite under roundoff.
     """
+    import numpy as np
+
     z = np.atleast_2d(np.asarray(measurements, dtype=float))
     if z.shape[1] != system.measurement_dim:
         raise ValueError("measurement rows must match the measurement dimension")

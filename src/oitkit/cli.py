@@ -30,7 +30,7 @@ from .io import (
     model_to_json,
     to_json_text,
 )
-from .model import compose_chain, is_restorable, restore, validate
+from .model import compose_chain, is_restorable, restore, validate, value_key
 from .timeset import seconds
 
 USAGE_EXIT = 2
@@ -68,6 +68,21 @@ def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
 def reader(kind: str, convert: Callable[[Any], Any]) -> Callable[[str], Any]:
     """An argparse `type` that reads a file argument through `read_file`."""
     return lambda path: read_file(path, kind, convert)
+
+
+def inline_value(flag: str) -> Callable[[str], Any]:
+    """An argparse `type` for a state value given inline as JSON: a string, a
+    number or an array of numbers. Anything else is a usage error naming `flag`."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = json.loads(text)
+            value_key(value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{flag} is not a state value: {exc}") from exc
+        return value
+
+    return parse
 
 
 def _parse_constants(value: str) -> physics.PhysicalConstants:
@@ -155,8 +170,8 @@ def run_metrics(args) -> dict:
         relations=args.edges,
         gaps=_json_arg(args.gaps),
         spec=_distance_spec(args),
-        restored=_json_arg(args.restored),
-        truth=_json_arg(args.truth),
+        restored=args.restored,
+        truth=args.truth,
         target=args.target,
     )
 
@@ -358,8 +373,16 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         arg("--edges", type=EDGES_FILE, help="JSON file with {'edges': [[i, j, label], ...]}"),
         arg("--gaps", help="JSON list of [lo, hi] occurrence gaps"),
         arg("--target", type=MODEL_FILE, help="model file to measure mismatch against"),
-        arg("--restored", help="JSON value for the distortion input"),
-        arg("--truth", help="JSON value for the distortion reference"),
+        arg(
+            "--restored",
+            type=inline_value("--restored"),
+            help="JSON value for the distortion input",
+        ),
+        arg(
+            "--truth",
+            type=inline_value("--truth"),
+            help="JSON value for the distortion reference",
+        ),
         DISTANCE,
         arg("--weights", help="six component weights, e.g. '1,1,1,1,1,1'"),
         help="compute the eleven information metrics for a model",

@@ -9,11 +9,10 @@ round trip exactly; plain numbers are accepted on input.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from .model import (
     CopyRecord,
@@ -139,7 +138,9 @@ def json_ready(obj: Any) -> Any:
     """Recursively convert report values into JSON-encodable ones.
 
     Fractions become exact decimal strings, numpy arrays become nested
-    lists, and tuples become lists; everything else passes through.
+    lists, and tuples become lists; everything else passes through. A numpy
+    value can only exist once numpy is loaded, so its branches look numpy up
+    in `sys.modules` rather than importing it.
     """
     if isinstance(obj, Fraction):
         return seconds_str(obj)
@@ -147,12 +148,14 @@ def json_ready(obj: Any) -> Any:
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return json_ready(obj.tolist())
-    if isinstance(obj, np.generic):
-        return obj.item()
     if isinstance(obj, frozenset):
         return sorted(obj)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return json_ready(obj.tolist())
+        if isinstance(obj, np.generic):
+            return obj.item()
     return obj
 
 

@@ -37,21 +37,22 @@ from .timeset import TimeSet
 Value = Union[str, int, float, Fraction, tuple]
 
 
-def value_key(value: Value) -> tuple:
-    """Canonical, hashable identity of a state/reflection value."""
+def value_key(value) -> tuple:
+    """Canonical, hashable identity of a state/reflection value: its kind
+    and its canonical form (a vector becomes a tuple).
+
+    This is the one check that a value is a string, a real number or an
+    array of real numbers; anything else raises `TypeError`.
+    """
     if isinstance(value, str):
         return ("sym", value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and all(isinstance(x, Real) for x in value):
         return ("vec", tuple(value))
     if isinstance(value, Real):
         return ("num", value)
-    raise TypeError(f"unsupported value {value!r}")
-
-
-def normalize_value(value) -> Value:
-    if isinstance(value, list):
-        return tuple(value)
-    return value
+    raise TypeError(
+        f"value must be a string, a number or an array of numbers, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class StateEntry:
     def __init__(self, subjects: Iterable[str], time: TimeSet, value):
         object.__setattr__(self, "subjects", frozenset(subjects))
         object.__setattr__(self, "time", time)
-        object.__setattr__(self, "value", normalize_value(value))
+        object.__setattr__(self, "value", value_key(value)[1])
 
     def key(self) -> tuple:
         return (self.subjects, self.time.key(), value_key(self.value))

@@ -29,6 +29,13 @@ UNIT_MASS_RATE_NOTE = (
 )
 
 
+def _require_finite(**values: float) -> None:
+    """Reject a NaN or infinite input by name, in the order given."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Named constants with a profile tag carried into every output.
@@ -47,6 +54,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for fieldname in ("h", "C", "k_b", "G", "H0", "ly"):
+            _require_finite(**{fieldname: getattr(self, fieldname)})
             if getattr(self, fieldname) <= 0:
                 raise ValueError(f"constant {fieldname} must be positive")
 
@@ -128,9 +136,7 @@ def quantum_volume(energy: float, time: float, consts: PhysicalConstants = PAPER
     The count is floored in exact rational arithmetic, so it is never off by
     one from rounding of the big product.
     """
-    for name, value in (("energy", energy), ("time", time)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
+    _require_finite(energy=energy, time=time)
     if energy <= 0:
         raise ValueError("average quantum energy must be positive")
     if time < 0:
@@ -155,6 +161,7 @@ class CarrierSpec:
 
     def __post_init__(self):
         for fieldname in ("mass", "radiation_energy", "quantum_count", "duration"):
+            _require_finite(**{fieldname: getattr(self, fieldname)})
             if getattr(self, fieldname) < 0:
                 raise ValueError(f"{fieldname} must be nonnegative")
         if self.mass == 0 and self.radiation_energy == 0 and self.quantum_count == 0:
@@ -197,6 +204,7 @@ def min_bit_mass(temperature: float, consts: PhysicalConstants = PAPER) -> float
 
     Classical equilibrium memory only; quantum carriers are not bound by it.
     """
+    _require_finite(temperature=temperature)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return consts.k_b * temperature * math.log(2) / consts.C**2
@@ -204,6 +212,7 @@ def min_bit_mass(temperature: float, consts: PhysicalConstants = PAPER) -> float
 
 def bits_per_kg(temperature: float, consts: PhysicalConstants = PAPER) -> float:
     """Upper bound on bits per kilogram of equilibrium memory at T kelvin."""
+    _require_finite(temperature=temperature)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return consts.C**2 / (consts.k_b * temperature * math.log(2))
@@ -235,6 +244,7 @@ def universe_info(
     Critical density 3H₀²/(8πG) times the observable volume gives the mass;
     the long-window carrier formula then gives the qubit total to date.
     """
+    _require_finite(radius_ly=radius_ly, age=age)
     if radius_ly <= 0 or age <= 0:
         raise ValueError("radius and age must be positive")
     rho_c = 3.0 * consts.H0**2 / (8.0 * math.pi * consts.G)

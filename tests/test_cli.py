@@ -213,6 +213,68 @@ def test_physics_quantum_rejects_non_finite_arguments(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["carrier", "--mass", "inf", "--time", "1", "--regime", "long"], "mass"),
+        (["carrier", "--mass", "1", "--time", "nan", "--regime", "long"], "duration"),
+        (["carrier", "--count", "nan", "--regime", "instant"], "quantum_count"),
+        (["bitmass", "--temperature", "nan"], "temperature"),
+        (["bitmass", "--temperature", "inf"], "temperature"),
+        (["universe", "--age", "inf"], "age"),
+        (["universe", "--radius-ly", "nan"], "radius_ly"),
+    ],
+    ids=lambda x: "-".join(x).replace("--", "") if isinstance(x, list) else None,
+)
+def test_physics_rejects_non_finite_arguments(capsys, argv, name):
+    code, out, err = run(capsys, "physics", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name} must be a finite number")
+
+
+def test_non_finite_constant_in_a_constants_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "consts.json"
+    path.write_text('{"h": NaN}')
+    code, out, err = run(capsys, "physics", "--constants", str(path), "universe")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err and "h must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "side, value",
+    [("states", {"a": 1}), ("reflections", [{"a": 1}]), ("reflections", [[1, 2]])],
+    ids=["state-dict", "reflection-dict-in-array", "reflection-nested-array"],
+)
+def test_ill_typed_value_is_a_usage_error_naming_the_file(capsys, tmp_path, side, value):
+    doc = json.loads(to_json_text(model_to_json(penguin_model())))
+    doc[side][0]["value"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["metrics", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not a model file: value must be")
+
+
+@pytest.mark.parametrize(
+    "restored, truth, flag",
+    [('{"a":1}', '{"b":2}', "--restored"), ("[1, 2]", "[1, null]", "--truth"), ("{", "1", "--restored")],
+    ids=["dict", "null-in-array", "unparseable"],
+)
+def test_ill_typed_inline_value_is_a_usage_error_naming_the_flag(
+    capsys, fixtures_dir, restored, truth, flag
+):
+    code, out, err = run(
+        capsys, "metrics", str(fixtures_dir / "penguin.json"), "--restored", restored, "--truth", truth
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} is not a state value")
+
+
+@pytest.mark.parametrize(
     "table, key, rule",
     [
         ("noumenon", "penguin-1", "noumenon-measure-numeric"),
