@@ -36,6 +36,9 @@ from .timeset import TimeSet
 
 Value = Union[str, int, float, Fraction, tuple]
 
+# int and float come first so the usual numbers skip the slower ABC check
+_NUMBER = (int, float, Real)
+
 
 def value_key(value) -> tuple:
     """Canonical, hashable identity of a state/reflection value: its kind
@@ -46,9 +49,9 @@ def value_key(value) -> tuple:
     """
     if isinstance(value, str):
         return ("sym", value)
-    if isinstance(value, (list, tuple)) and all(isinstance(x, Real) for x in value):
+    if isinstance(value, (list, tuple)) and all(isinstance(x, _NUMBER) for x in value):
         return ("vec", tuple(value))
-    if isinstance(value, Real):
+    if isinstance(value, _NUMBER):
         return ("num", value)
     raise TypeError(
         f"value must be a string, a number or an array of numbers, got {value!r}"
