@@ -260,15 +260,18 @@ def test_ill_typed_value_is_a_usage_error_naming_the_file(capsys, tmp_path, side
 
 @pytest.mark.parametrize(
     "restored, truth, flag",
-    [('{"a":1}', '{"b":2}', "--restored"), ("[1, 2]", "[1, null]", "--truth"), ("{", "1", "--restored")],
+    [
+        ('{"a":1}', '{"b":2}', "--restored"),
+        ("[1, 2]", "[1, null]", "--truth"),
+        ("{", "1", "--restored"),
+    ],
     ids=["dict", "null-in-array", "unparseable"],
 )
 def test_ill_typed_inline_value_is_a_usage_error_naming_the_flag(
     capsys, fixtures_dir, restored, truth, flag
 ):
-    code, out, err = run(
-        capsys, "metrics", str(fixtures_dir / "penguin.json"), "--restored", restored, "--truth", truth
-    )
+    model = str(fixtures_dir / "penguin.json")
+    code, out, err = run(capsys, "metrics", model, "--restored", restored, "--truth", truth)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} is not a state value")
