@@ -32,6 +32,7 @@ from .metrics import (
     scope,
 )
 from .model import InformationModel, is_restorable
+from .physics import _require_finite
 from .timeset import seconds
 
 # numpy is imported inside the Kalman code that uses it, so importing oitkit
@@ -46,6 +47,7 @@ def shannon_min_volume(probabilities: Sequence[float]) -> float:
     Zero probabilities contribute nothing (the usual limit convention).
     """
     p = [float(x) for x in probabilities]
+    _require_finite(**{f"probabilities[{i}]": x for i, x in enumerate(p)})
     if any(x < 0 for x in p):
         raise ValueError("probabilities must be nonnegative")
     if abs(math.fsum(p) - 1.0) > 1e-12:
@@ -70,14 +72,15 @@ def radar_max_range(
     Grows with the quartic root of the target's reflection area, which is the
     scope measure of the detection information.
     """
-    values = (
-        transmit_power,
-        antenna_gain,
-        effective_aperture,
-        min_detectable_signal,
-        reflection_area,
-    )
-    if any(v <= 0 for v in values):
+    values = {
+        "transmit_power": transmit_power,
+        "antenna_gain": antenna_gain,
+        "effective_aperture": effective_aperture,
+        "min_detectable_signal": min_detectable_signal,
+        "reflection_area": reflection_area,
+    }
+    _require_finite(**values)
+    if any(v <= 0 for v in values.values()):
         raise ValueError("all radar equation inputs must be positive")
     numerator = transmit_power * antenna_gain * effective_aperture * reflection_area
     return (numerator / ((4 * math.pi) ** 2 * min_detectable_signal)) ** 0.25
@@ -87,6 +90,7 @@ def rayleigh_granularity(wavelength, aperture_width):
     """Minimum resolvable angle of an imaging system: wavelength over
     aperture width. Equals the granularity of imaging information whose
     atoms (pixels) all carry that angle as their noumenon measure."""
+    _require_finite(wavelength=wavelength, aperture_width=aperture_width)
     if wavelength <= 0 or aperture_width <= 0:
         raise ValueError("wavelength and aperture width must be positive")
     return wavelength / aperture_width

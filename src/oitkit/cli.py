@@ -85,6 +85,27 @@ def inline_value(flag: str) -> Callable[[str], Any]:
     return parse
 
 
+def time_pairs(flag: str) -> Callable[[str], list]:
+    """An argparse `type` for a JSON list of [a, b] time pairs, such as
+    '[[1, 2], ["3.5", 4]]'. Anything else is a usage error naming `flag`."""
+
+    def parse(text: str) -> list:
+        try:
+            pairs = json.loads(text)
+            if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in pairs
+            ):
+                raise ValueError(f"expected a JSON list of [a, b] pairs, got {text}")
+            for pair in pairs:
+                for t in pair:
+                    seconds(t)  # raises for anything that is not a time
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{flag} is not a list of time pairs: {exc}") from exc
+        return pairs
+
+    return parse
+
+
 def _parse_constants(value: str) -> physics.PhysicalConstants:
     if value in physics.PROFILES:
         return physics.profile(value)
@@ -159,16 +180,12 @@ def run_validate(args) -> dict:
     return doc
 
 
-def _json_arg(text: str | None):
-    return json.loads(text) if text else None
-
-
 def run_metrics(args) -> dict:
     return metrics.metric_report(
         args.model,
         relation=args.relation,
         relations=args.edges,
-        gaps=_json_arg(args.gaps),
+        gaps=args.gaps,
         spec=_distance_spec(args),
         restored=args.restored,
         truth=args.truth,
@@ -371,7 +388,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         MODEL,
         arg("--relation", type=LABELS_FILE, help="JSON file with {'labels': {state_index: label}}"),
         arg("--edges", type=EDGES_FILE, help="JSON file with {'edges': [[i, j, label], ...]}"),
-        arg("--gaps", help="JSON list of [lo, hi] occurrence gaps"),
+        arg("--gaps", type=time_pairs("--gaps"), help="JSON list of [lo, hi] occurrence gaps"),
         arg("--target", type=MODEL_FILE, help="model file to measure mismatch against"),
         arg(
             "--restored",
@@ -447,8 +464,13 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ),
     ("classical", "mtbf"): Command(
         "Mean duration over monitoring sessions.",
-        lambda args: {"mean_duration_s": classical.mtbf_duration(json.loads(args.sessions))},
-        arg("--sessions", required=True, help="JSON [[sup, inf], ...]"),
+        lambda args: {"mean_duration_s": classical.mtbf_duration(args.sessions)},
+        arg(
+            "--sessions",
+            type=time_pairs("--sessions"),
+            required=True,
+            help="JSON [[sup, inf], ...]",
+        ),
     ),
     ("classical", "nyquist"): Command(
         "Minimum restorable sampling rate of periodic information.",

@@ -20,13 +20,13 @@ from .model import (
     MeasureAssignment,
     StateEntry,
 )
-from .timeset import TimeSet, seconds_str
+from .timeset import TimeSet, seconds_str, tick_str
 
 
 def timeset_to_json(ts: TimeSet) -> dict:
     return {
-        "intervals": [[seconds_str(lo), seconds_str(hi)] for lo, hi in ts.intervals],
-        "points": [seconds_str(p) for p in ts.points],
+        "intervals": [[tick_str(lo), tick_str(hi)] for lo, hi in ts.spans],
+        "points": [tick_str(p) for p in ts.marks],
     }
 
 

@@ -14,7 +14,7 @@ All numbers here are plain floats with relative-tolerance contracts; the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 # The long-window rate for 1 kg over 1 s, 4C²/h, evaluates to ≈ 5.4545e50
@@ -90,6 +90,11 @@ def profile(name: str) -> PhysicalConstants:
 
 
 def constants_from_dict(data: dict, name: str = "custom") -> PhysicalConstants:
+    """Constants from a document of field values; missing fields come from
+    the profile `name` names, or from "paper". Unknown keys are rejected."""
+    unknown = set(data) - {f.name for f in fields(PhysicalConstants)}
+    if unknown:
+        raise ValueError(f"unknown constants {sorted(unknown)}")
     base = PROFILES.get(name, PAPER)
     return PhysicalConstants(
         name=name,

@@ -7,6 +7,8 @@ or direct simulation.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -34,6 +36,52 @@ def timeset_issubset_bruteforce(small, big) -> bool:
     return all(
         any(olo <= lo and hi <= ohi for olo, ohi in big.intervals) for lo, hi in small.intervals
     ) and all(timeset_contains_bruteforce(big, p) for p in small.points)
+
+
+class FractionTimeSet:
+    """A TimeSet kept in exact `Fraction` seconds throughout, with no ticks.
+
+    Canonicalises by merging a sorted sweep and drops each point that some
+    interval covers by scanning them all; every query is a linear scan.
+    Coordinates must already be exact `Fraction`s.
+    """
+
+    def __init__(self, intervals=(), points=()):
+        pairs = sorted((lo, hi) for lo, hi in intervals if lo < hi)
+        loose = [lo for lo, hi in intervals if lo == hi] + list(points)
+        merged = []
+        for lo, hi in pairs:
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        self.intervals = tuple((lo, hi) for lo, hi in merged)
+        self.points = tuple(
+            sorted({p for p in loose if not any(lo <= p <= hi for lo, hi in self.intervals)})
+        )
+
+    @property
+    def inf(self):
+        return min([lo for lo, _ in self.intervals] + list(self.points))
+
+    @property
+    def sup(self):
+        return max([hi for _, hi in self.intervals] + list(self.points))
+
+    def lebesgue(self):
+        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+
+    def contains(self, t) -> bool:
+        return timeset_contains_bruteforce(self, t)
+
+    def issubset(self, other) -> bool:
+        return timeset_issubset_bruteforce(self, other)
+
+    def union(self, other):
+        return FractionTimeSet(self.intervals + other.intervals, self.points + other.points)
+
+    def key(self) -> tuple:
+        return (self.intervals, self.points)
 
 
 def batch_mmse(system, measurements: np.ndarray, upto: int) -> np.ndarray:

@@ -377,3 +377,59 @@ def test_bad_files_are_usage_errors_naming_the_file(capsys, fixtures_dir, tmp_pa
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and str(files[bad]) in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (
+            ["radar", "--power", "nan", "--gain", "1", "--aperture", "1",
+             "--min-signal", "1", "--sigma", "1"],
+            "transmit_power",
+        ),
+        (
+            ["radar", "--power", "1", "--gain", "1", "--aperture", "1",
+             "--min-signal", "1", "--sigma", "inf"],
+            "reflection_area",
+        ),
+        (["rayleigh", "--wavelength", "inf", "--aperture", "1"], "wavelength"),
+        (["rayleigh", "--wavelength", "1", "--aperture", "nan"], "aperture_width"),
+        (["entropy", "--probs", "nan,0.5"], "probabilities[0]"),
+        (["entropy", "--probs", "0.5,-inf"], "probabilities[1]"),
+    ],
+    ids=lambda x: "-".join(x).replace("--", "") if isinstance(x, list) else None,
+)
+def test_classical_rejects_non_finite_arguments(capsys, argv, name):
+    code, out, err = run(capsys, "classical", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name} must be a finite number")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["metrics", "{penguin}", "--gaps", '{"a":1}'], "--gaps"),
+        (["metrics", "{penguin}", "--gaps", "[[1]]"], "--gaps"),
+        (["metrics", "{penguin}", "--gaps", '[["1", "x"]]'], "--gaps"),
+        (["metrics", "{penguin}", "--gaps", "[1, 2"], "--gaps"),
+        (["classical", "mtbf", "--sessions", "[[1]]"], "--sessions"),
+        (["classical", "mtbf", "--sessions", '"12"'], "--sessions"),
+        (["classical", "mtbf", "--sessions", "[[10, null]]"], "--sessions"),
+        (["classical", "mtbf", "--sessions", "[[NaN, 0]]"], "--sessions"),
+    ],
+)
+def test_malformed_time_pairs_are_usage_errors_naming_the_flag(capsys, fixtures_dir, argv, flag):
+    penguin = str(fixtures_dir / "penguin.json")
+    code, out, err = run(capsys, *(arg.replace("{penguin}", penguin) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} is not a list of time pairs")
+
+
+def test_unknown_key_in_a_constants_file_is_a_usage_error(capsys, fixtures_dir):
+    path = str(fixtures_dir / "penguin.json")
+    code, out, err = run(capsys, "physics", "--constants", path, "universe")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path} is not a constants file: unknown constants [")

@@ -1,12 +1,18 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oitkit.timeset import TimeSet, seconds, seconds_str
+from oitkit.timeset import NS, TimeSet, seconds, seconds_str, tick_str, ticks
 
-from oracles import timeset_contains_bruteforce, timeset_issubset_bruteforce
+from oracles import (
+    FractionTimeSet,
+    timeset_contains_bruteforce,
+    timeset_issubset_bruteforce,
+)
 
 
 def test_parse_decimal_strings_exactly():
@@ -171,3 +177,125 @@ def test_contains_matches_linear_scan(ts, t):
 def test_issubset_matches_linear_scan(pair):
     small, big = pair
     assert small.issubset(big) == timeset_issubset_bruteforce(small, big)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["12.010", "-0.5", "5.", "7", "-3", "0.123456789", "0.1234567891", "-1.0000000000005",
+     "1e3", " 1.5", "+1.5", "1_000", ".5", "-.5", "1/3", "\uff11", "\u0663.5",
+     12, -4, 0.01, 1e-07, 0.1234567890123, Fraction(1, 3), Fraction(-7, 2), True],
+    ids=repr,
+)
+def test_ticks_agree_with_seconds(value):
+    t = ticks(value)
+    assert t == seconds(value) * NS
+    assert type(t) is (int if (seconds(value) * NS).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text", ["", "-", "--1", "1.2.3", "1..2", "abc", "nan", "inf", "1.5x", "\u00b2", "1.\u00b2"])
+def test_ticks_reject_what_seconds_rejects(text):
+    with pytest.raises(ValueError):
+        seconds(text)
+    with pytest.raises(ValueError):
+        ticks(text)
+
+
+@given(
+    st.integers(-(10**15), 10**15)
+    | st.builds(lambda n, d: Fraction(n, d), st.integers(-(10**12), 10**12), st.integers(1, 99))
+)
+def test_tick_str_matches_seconds_str(t):
+    assert tick_str(t) == seconds_str(Fraction(t, NS))
+
+
+def test_equal_values_in_different_forms_are_one_set():
+    a = TimeSet(intervals=[("0.5", "2"), (3, "4.000000000000")], points=["-1.25"])
+    b = TimeSet(intervals=[(Fraction(1, 2), 2.0), ("3.0", 4)], points=[Fraction(-5, 4)])
+    assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    assert len({a, b}) == 1
+    assert a != TimeSet(intervals=[("0.5", "2"), (3, "4.000000001")], points=["-1.25"])
+
+
+def test_pickle_deepcopy_and_immutability():
+    ts = TimeSet(intervals=[("0.5", "2"), (Fraction(1, 3), "0.6")], points=[7])
+    assert ts.intervals == ((Fraction(1, 3), Fraction(2)),)
+    for clone in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts), copy.copy(ts)):
+        assert clone == ts and hash(clone) == hash(ts)
+        assert (clone.intervals, clone.points) == (ts.intervals, ts.points)
+    for name in ("spans", "marks", "intervals", "points"):
+        with pytest.raises(AttributeError):
+            setattr(ts, name, ())
+    assert ts.points == (Fraction(7),)
+
+
+# Exact values, each spelled in one of the input forms that denote it
+# exactly: decimal strings with up to 12 places (trailing zeros included),
+# ints, floats whose shortest repr is the value, and Fractions. Sets drawn
+# from one small pool of values share and touch endpoints, and equal values
+# reach the constructor in different forms.
+exact_values = st.builds(
+    lambda n, k: Fraction(n, 10**k), st.integers(-(10**7), 10**7), st.integers(0, 12)
+) | st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 12))
+
+
+def _decimal(v: Fraction, places: int) -> str:
+    scaled = v.numerator * 10**places // v.denominator
+    digits = str(abs(scaled)).rjust(places + 1, "0")
+    body = f"{digits[:-places]}.{digits[-places:]}" if places else digits
+    return f"-{body}" if scaled < 0 else body
+
+
+@st.composite
+def spelled(draw, v: Fraction):
+    forms = [v]
+    places = next((k for k in range(13) if 10**k % v.denominator == 0), None)
+    if places is not None:
+        forms.append(_decimal(v, draw(st.integers(places, 12))))
+    if v.denominator == 1:
+        forms.append(int(v))
+    if Fraction(repr(float(v))) == v:
+        forms.append(float(v))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def exact_inputs(draw, pool):
+    intervals = [
+        tuple(sorted((draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    points = draw(st.lists(st.sampled_from(pool), min_size=0 if intervals else 1, max_size=3))
+    return intervals, points
+
+
+@st.composite
+def spelled_timeset(draw, inputs):
+    intervals, points = inputs
+    return TimeSet(
+        intervals=[(draw(spelled(lo)), draw(spelled(hi))) for lo, hi in intervals],
+        points=[draw(spelled(p)) for p in points],
+    )
+
+
+@given(st.data())
+def test_tick_axis_matches_fraction_reference(data):
+    pool = data.draw(st.lists(exact_values, min_size=1, max_size=6, unique=True))
+    inputs, other_inputs = data.draw(exact_inputs(pool)), data.draw(exact_inputs(pool))
+    ts, same = data.draw(spelled_timeset(inputs)), data.draw(spelled_timeset(inputs))
+    other = data.draw(spelled_timeset(other_inputs))
+    ref, other_ref = FractionTimeSet(*inputs), FractionTimeSet(*other_inputs)
+
+    assert (ts.intervals, ts.points) == (ref.intervals, ref.points)
+    assert all(type(t) is Fraction for pair in ts.intervals for t in pair)
+    assert all(type(t) is Fraction for t in ts.points)
+    assert (ts.inf, ts.sup, ts.lebesgue()) == (ref.inf, ref.sup, ref.lebesgue())
+    parts = [f"[{seconds_str(lo)}, {seconds_str(hi)}]" for lo, hi in ref.intervals]
+    assert str(ts) == " ∪ ".join(parts + ["{" + seconds_str(p) + "}" for p in ref.points])
+    for v in pool:
+        assert ts.contains(data.draw(spelled(v))) == ref.contains(v)
+    assert ts.issubset(other) == ref.issubset(other_ref)
+    union, ref_union = ts.union(other), ref.union(other_ref)
+    assert (union.intervals, union.points) == (ref_union.intervals, ref_union.points)
+
+    assert ts == same and hash(ts) == hash(same) and ts.key() == same.key()
+    assert (ts == other) == (ts.key() == other.key()) == (ref.key() == other_ref.key())
