@@ -64,37 +64,28 @@ def seconds_str(value: Rational) -> str:
     """Render an exact number of seconds as a decimal string when possible.
 
     Fractions whose denominator only has factors 2 and 5 have a finite decimal
-    expansion and are emitted exactly ("12.010" style); anything else falls
+    expansion and are emitted exactly ("12.01" style); anything else falls
     back to "p/q".
     """
     frac = Fraction(value)
     den = frac.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return f"{frac.numerator}/{frac.denominator}"
-    digits = max(twos, fives)
-    scaled = frac.numerator * 10**digits // frac.denominator
-    if digits == 0:
-        return str(scaled)
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    # 10**k is a multiple of den = 2**a * 5**b first at k = max(a, b) <= log2(den)
+    digits = next((k for k in range(den.bit_length()) if 10**k % den == 0), None)
+    if digits is None:
+        return f"{frac.numerator}/{den}"
+    return _decimal(frac.numerator * 10**digits // den, digits)
 
 
 def tick_str(t: Tick) -> str:
     """`seconds_str` of `t` ticks, without building a Fraction when `t` is whole."""
-    if type(t) is not int:
-        return seconds_str(Fraction(t, NS))
-    whole, frac = divmod(abs(t), NS)
-    text = f"{whole}.{frac:09d}".rstrip("0").rstrip(".")
-    return f"-{text}" if t < 0 else text
+    return _decimal(t, 9) if type(t) is int else seconds_str(Fraction(t, NS))
+
+
+def _decimal(scaled: int, digits: int) -> str:
+    """`scaled / 10**digits` as a decimal string without trailing zeros."""
+    whole, frac = divmod(abs(scaled), 10**digits)
+    text = f"{whole}.{frac:0{digits}d}".rstrip("0") if frac else str(whole)
+    return f"-{text}" if scaled < 0 else text
 
 
 _start = itemgetter(0)
@@ -186,10 +177,8 @@ class TimeSet:
         return self._holds(ticks(at))
 
     def _holds(self, t: Tick) -> bool:
-        if _covering(self.spans, t, t):
-            return True
         i = bisect_left(self.marks, t)
-        return i < len(self.marks) and self.marks[i] == t
+        return _covering(self.spans, t, t) or (i < len(self.marks) and self.marks[i] == t)
 
     def issubset(self, other: "TimeSet") -> bool:
         """Binary searches over the other set's canonical form: O(k log m)."""

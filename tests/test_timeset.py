@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,22 @@ def test_seconds_str_decimal_and_fallback():
     assert seconds_str(Fraction(5)) == "5"
     assert seconds_str(Fraction(-3, 4)) == "-0.75"
     assert seconds_str(Fraction(1, 3)) == "1/3"
+
+
+@given(
+    st.integers(-(10**15), 10**15),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.sampled_from([1, 3, 7, 9]),
+)
+def test_seconds_str_is_exact_and_minimal(n, twos, fives, other):
+    v = Fraction(n, 2**twos * 5**fives * other)
+    text = seconds_str(v)
+    if v.denominator % 3 == 0 or v.denominator % 7 == 0:
+        assert text == f"{v.numerator}/{v.denominator}"
+    else:
+        assert re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?", text)
+        assert Fraction(text) == v
 
 
 def test_merges_overlapping_and_touching_intervals():
@@ -192,7 +209,9 @@ def test_ticks_agree_with_seconds(value):
     assert type(t) is (int if (seconds(value) * NS).denominator == 1 else Fraction)
 
 
-@pytest.mark.parametrize("text", ["", "-", "--1", "1.2.3", "1..2", "abc", "nan", "inf", "1.5x", "\u00b2", "1.\u00b2"])
+@pytest.mark.parametrize(
+    "text", ["", "-", "--1", "1.2.3", "1..2", "abc", "nan", "inf", "1.5x", "\u00b2", "1.\u00b2"]
+)
 def test_ticks_reject_what_seconds_rejects(text):
     with pytest.raises(ValueError):
         seconds(text)
