@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -78,42 +79,225 @@ def test_mapping_must_cover_every_reflection():
     assert "mapping-surjective" in {v.rule for v in report.violations}
 
 
+ONE_PAIR = dict(
+    noumena=["n"],
+    carriers=["c"],
+    occurrence=T1,
+    reflection_time=T2,
+    states=[StateEntry(["n"], T1, "s0")],
+    reflections=[StateEntry(["c"], T2, "r0")],
+    mapping=[(0, 0)],
+)
+P1, P2, P3, P4 = "postulate-1", "postulate-2", "postulate-3", "postulate-4"
+SURJECTIVE = ("mapping-surjective", "every reflection entry must be the image of some state", P4)
+TOTAL = ("mapping-total", "mapping must pair every state index exactly once", P4)
+RANGE = ("mapping-range", "mapping references reflection indices that do not exist", P4)
+DUPLICATE = (
+    "duplicate-state-values",
+    "states contain duplicate (subjects, time, value) entries; "
+    "they are treated as a single state value",
+    None,
+)
+NEGATIVE_DELAY = (
+    "negative-delay", "reflection ends before the occurrence does, so delay is negative", P4
+)
+GHOST_NOUMENON = (
+    "noumenon-measure-resolves", "noumenon measure assigned to unknown element 'ghost'", None
+)
+WARNING_RULES = {DUPLICATE[0], NEGATIVE_DELAY[0]}
+
+# Every rule `validate` can report, each with a model (ONE_PAIR plus the
+# overrides) and the exact (rule, message, postulate) list it gives, in
+# report order: violations first, then warnings.
 VIOLATION_CASES = {
-    "noumena-nonempty": dict(noumena=[]),
-    "carriers-nonempty": dict(carriers=[]),
-    "states-nonempty": dict(states=[], mapping=[]),
-    "state-subjects-resolve": dict(states=[StateEntry(["ghost"], T1, "s0")]),
-    "state-times-within-occurrence": dict(states=[StateEntry(["n"], TimeSet.span(0, 5), "s0")]),
-    "reflection-subjects-resolve": dict(reflections=[StateEntry(["ghost"], T2, "r0")]),
-    "reflection-times-within-duration": dict(
-        reflections=[StateEntry(["c"], TimeSet.span(10, 20), "r0")]
+    "noumena-nonempty": (
+        dict(noumena=[]),
+        [
+            ("noumena-nonempty", "noumenon set is empty", P1),
+            ("state-subjects-resolve", "state 0 references unknown noumena ['n']", P3),
+        ],
     ),
-    "mapping-total": dict(mapping=[(0, 0), (0, 0)]),
-    "mapping-range": dict(mapping=[(0, 7)]),
-    "mapping-surjective": dict(
-        states=[StateEntry(["n"], T1, "s0")],
-        reflections=[StateEntry(["c"], T2, "r0"), StateEntry(["c"], T2, "r1")],
-        mapping=[(0, 0)],
+    "carriers-nonempty": (
+        dict(carriers=[]),
+        [
+            ("carriers-nonempty", "carrier set is empty", P1),
+            ("reflection-subjects-resolve", "reflection 0 references unknown carriers ['c']", P3),
+        ],
     ),
-    "noumenon-measure-resolves": dict(measures=MeasureAssignment(noumenon={"ghost": 1})),
-    "reflection-measure-nonnegative": dict(measures=MeasureAssignment(reflection={0: -1})),
+    "states-nonempty": (
+        dict(states=[], mapping=[]),
+        [("states-nonempty", "state set is empty", P3), SURJECTIVE],
+    ),
+    "reflections-nonempty": (
+        dict(reflections=[], mapping=[]),
+        [("reflections-nonempty", "reflection set is empty", P3), TOTAL],
+    ),
+    "state-subjects-nonempty": (
+        dict(states=[StateEntry([], T1, "s0")]),
+        [("state-subjects-nonempty", "state 0 has no subjects", P3)],
+    ),
+    "state-subjects-resolve": (
+        dict(states=[StateEntry(["n", "ghost", "a"], T1, "s0")]),
+        [("state-subjects-resolve", "state 0 references unknown noumena ['a', 'ghost']", P3)],
+    ),
+    "state-times-within-occurrence": (
+        dict(states=[StateEntry(["n"], TimeSet.span(0, 5), "s0")]),
+        [("state-times-within-occurrence", "state 0 has times outside the occurrence set", P2)],
+    ),
+    "reflection-subjects-nonempty": (
+        dict(reflections=[StateEntry([], T2, "r0")]),
+        [("reflection-subjects-nonempty", "reflection 0 has no subjects", P3)],
+    ),
+    "reflection-subjects-resolve": (
+        dict(reflections=[StateEntry(["c", "z", "ghost"], T2, "r0")]),
+        [
+            (
+                "reflection-subjects-resolve",
+                "reflection 0 references unknown carriers ['ghost', 'z']",
+                P3,
+            )
+        ],
+    ),
+    "reflection-times-within-duration": (
+        dict(reflections=[StateEntry(["c"], TimeSet.span(10, 20), "r0")]),
+        [
+            (
+                "reflection-times-within-duration",
+                "reflection 0 has times outside the reflection time set",
+                P2,
+            )
+        ],
+    ),
+    "mapping-total": (dict(mapping=[(0, 0), (0, 0)]), [TOTAL]),
+    "mapping-range": (dict(mapping=[(0, 7)]), [RANGE, SURJECTIVE]),
+    "mapping-surjective": (
+        dict(reflections=[StateEntry(["c"], T2, "r0"), StateEntry(["c"], T2, "r1")]),
+        [SURJECTIVE],
+    ),
+    "noumenon-measure-resolves": (
+        dict(measures=MeasureAssignment(noumenon={"ghost": 1})),
+        [GHOST_NOUMENON],
+    ),
+    "noumenon-measure-numeric": (
+        dict(measures=MeasureAssignment(noumenon={"n": "x"})),
+        [("noumenon-measure-numeric", "noumenon measure of 'n' is not a finite number", None)],
+    ),
+    "noumenon-measure-nonnegative": (
+        dict(measures=MeasureAssignment(noumenon={"n": -1})),
+        [("noumenon-measure-nonnegative", "noumenon measure of 'n' is negative", None)],
+    ),
+    "carrier-measure-resolves": (
+        dict(measures=MeasureAssignment(carrier={"ghost": 1})),
+        [("carrier-measure-resolves", "carrier measure assigned to unknown element 'ghost'", None)],
+    ),
+    "carrier-measure-numeric": (
+        dict(measures=MeasureAssignment(carrier={"c": None})),
+        [("carrier-measure-numeric", "carrier measure of 'c' is not a finite number", None)],
+    ),
+    "carrier-measure-nonnegative": (
+        dict(measures=MeasureAssignment(carrier={"c": Fraction(-1, 2)})),
+        [("carrier-measure-nonnegative", "carrier measure of 'c' is negative", None)],
+    ),
+    "reflection-measure-resolves": (
+        dict(measures=MeasureAssignment(reflection={3: 1})),
+        [("reflection-measure-resolves", "reflection measure assigned to unknown index 3", None)],
+    ),
+    "reflection-measure-numeric": (
+        dict(measures=MeasureAssignment(reflection={0: math.nan})),
+        [("reflection-measure-numeric", "reflection measure of 0 is not a finite number", None)],
+    ),
+    "reflection-measure-nonnegative": (
+        dict(measures=MeasureAssignment(reflection={0: -1})),
+        [("reflection-measure-nonnegative", "reflection measure of 0 is negative", None)],
+    ),
+    "copy-measure-numeric": (
+        dict(copies=[CopyRecord(1), CopyRecord(math.inf)]),
+        [("copy-measure-numeric", "copy 1 measure is not a finite number", None)],
+    ),
+    "copy-measure-nonnegative": (
+        dict(copies=[CopyRecord(-1)]),
+        [("copy-measure-nonnegative", "copy 0 has negative measure", None)],
+    ),
+    "copy-weight-numeric": (
+        dict(copies=[CopyRecord(1, "2")]),
+        [("copy-weight-numeric", "copy 0 weight is not a finite number", None)],
+    ),
+    "copy-weight-nonnegative": (
+        dict(copies=[CopyRecord(1, -0.5)]),
+        [("copy-weight-nonnegative", "copy 0 has negative weight", None)],
+    ),
+    "duplicate-state-values": (
+        dict(states=[StateEntry(["n"], T1, "s0")] * 2, mapping=[(0, 0), (1, 0)]),
+        [DUPLICATE],
+    ),
+    "negative-delay": (
+        dict(
+            occurrence=T2,
+            reflection_time=T1,
+            states=[StateEntry(["n"], T2, "s0")],
+            reflections=[StateEntry(["c"], T1, "r0")],
+        ),
+        [NEGATIVE_DELAY],
+    ),
+    # one model breaking a rule of every group pins the order between groups
+    "every-group": (
+        dict(
+            carriers=[],
+            occurrence=T2,
+            reflection_time=T1,
+            states=[StateEntry([], T2, "s0")] + [StateEntry(["ghost"], T1, "s1")] * 2,
+            reflections=[StateEntry(["c"], TimeSet.span(0, 2), "r0")],
+            mapping=[(0, 0), (0, 0), (1, 3)],
+            measures=MeasureAssignment(
+                noumenon={"ghost": -1}, carrier={"c": "x"}, reflection={5: 1}
+            ),
+            copies=[CopyRecord(-1, math.nan)],
+        ),
+        [
+            ("carriers-nonempty", "carrier set is empty", P1),
+            ("state-subjects-nonempty", "state 0 has no subjects", P3),
+            ("state-subjects-resolve", "state 1 references unknown noumena ['ghost']", P3),
+            ("state-times-within-occurrence", "state 1 has times outside the occurrence set", P2),
+            ("state-subjects-resolve", "state 2 references unknown noumena ['ghost']", P3),
+            ("state-times-within-occurrence", "state 2 has times outside the occurrence set", P2),
+            ("reflection-subjects-resolve", "reflection 0 references unknown carriers ['c']", P3),
+            (
+                "reflection-times-within-duration",
+                "reflection 0 has times outside the reflection time set",
+                P2,
+            ),
+            TOTAL,
+            RANGE,
+            GHOST_NOUMENON,
+            ("noumenon-measure-nonnegative", "noumenon measure of 'ghost' is negative", None),
+            ("carrier-measure-resolves", "carrier measure assigned to unknown element 'c'", None),
+            ("carrier-measure-numeric", "carrier measure of 'c' is not a finite number", None),
+            ("reflection-measure-resolves", "reflection measure assigned to unknown index 5", None),
+            ("copy-measure-nonnegative", "copy 0 has negative measure", None),
+            ("copy-weight-numeric", "copy 0 weight is not a finite number", None),
+            DUPLICATE,
+            NEGATIVE_DELAY,
+        ],
+    ),
 }
+REPORTED_RULES = {rule for _, expected in VIOLATION_CASES.values() for rule, _, _ in expected}
 
 
 @pytest.mark.parametrize("rule", sorted(VIOLATION_CASES))
 def test_validator_reports_each_violation(rule):
-    base = dict(
-        noumena=["n"],
-        carriers=["c"],
-        occurrence=T1,
-        reflection_time=T2,
-        states=[StateEntry(["n"], T1, "s0")],
-        reflections=[StateEntry(["c"], T2, "r0")],
-        mapping=[(0, 0)],
-    )
-    base.update(VIOLATION_CASES[rule])
-    report = validate(InformationModel(**base))
-    assert rule in {v.rule for v in report.violations}
+    overrides, expected = VIOLATION_CASES[rule]
+    report = validate(InformationModel(**{**ONE_PAIR, **overrides}))
+    assert [(v.rule, v.message, v.postulate) for v in report.violations] == [
+        e for e in expected if e[0] not in WARNING_RULES
+    ]
+    assert [(w.rule, w.message, w.postulate) for w in report.warnings] == [
+        e for e in expected if e[0] in WARNING_RULES
+    ]
+
+
+def test_violation_cases_cover_every_rule():
+    assert REPORTED_RULES == set(VIOLATION_CASES) - {"every-group"}
+    assert len(REPORTED_RULES - WARNING_RULES) == 26
 
 
 def test_duplicate_state_values_only_warn():
@@ -358,15 +542,6 @@ def test_enabled_flag_is_carried_and_propagates_through_chains(chain3):
     assert not compose_chain([chain3[0], doubted, chain3[2]]).enabled
 
 
-ONE_PAIR = dict(
-    noumena=["n"],
-    carriers=["c"],
-    occurrence=T1,
-    reflection_time=T2,
-    states=[StateEntry(["n"], T1, "s0")],
-    reflections=[StateEntry(["c"], T2, "r0")],
-    mapping=[(0, 0)],
-)
 BAD_MEASURES = {
     "noumenon-measure-numeric": lambda bad: dict(measures=MeasureAssignment(noumenon={"n": bad})),
     "carrier-measure-numeric": lambda bad: dict(measures=MeasureAssignment(carrier={"c": bad})),
