@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -219,18 +219,13 @@ class LinearSystemSpec:
     P0: np.ndarray
     B: np.ndarray | None = None
 
-    def __init__(self, A, H, Q, R, x0, P0, B=None):
+    def __post_init__(self):
         import numpy as np
 
-        object.__setattr__(self, "A", np.asarray(A, dtype=float))
-        object.__setattr__(self, "H", np.asarray(H, dtype=float))
-        object.__setattr__(self, "Q", np.asarray(Q, dtype=float))
-        object.__setattr__(self, "R", np.asarray(R, dtype=float))
-        object.__setattr__(self, "x0", np.asarray(x0, dtype=float).reshape(-1))
-        object.__setattr__(self, "P0", np.asarray(P0, dtype=float))
-        object.__setattr__(
-            self, "B", None if B is None else np.asarray(B, dtype=float)
-        )
+        for f in fields(self):
+            if f.name != "B" or self.B is not None:
+                object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        object.__setattr__(self, "x0", self.x0.reshape(-1))
         self._check()
 
     def _check(self) -> None:
@@ -406,23 +401,10 @@ class SearchSetup:
     algorithm: str = "sequential"
     order_keys: tuple | None = None
 
-    def __init__(
-        self,
-        candidates,
-        target,
-        spec: DistanceSpec = DistanceSpec(),
-        threshold=0,
-        algorithm: str = "sequential",
-        order_keys=None,
-    ):
-        object.__setattr__(self, "candidates", tuple(candidates))
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "algorithm", algorithm)
-        object.__setattr__(
-            self, "order_keys", None if order_keys is None else tuple(order_keys)
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        if self.order_keys is not None:
+            object.__setattr__(self, "order_keys", tuple(self.order_keys))
         if not self.candidates:
             raise SearchError("candidate list is empty")
         if self.algorithm not in ("sequential", "bisection"):

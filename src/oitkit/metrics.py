@@ -25,7 +25,6 @@ from .errors import (
 from .model import (
     InformationModel,
     MeasureAssignment,
-    decompose_atomic,
     require_valid,
     value_key,
 )
@@ -80,14 +79,19 @@ def _exact_sum(values):
     return math.fsum(values)
 
 
+def _measured_sum(table, keys, kind: str):
+    """Exact sum of `table` over `keys`; a key without a measure is an error."""
+    missing = [k for k in keys if k not in table]
+    if missing:
+        raise MissingMeasureError(kind, missing)
+    return _exact_sum([table[k] for k in keys])
+
+
 def volume(model: InformationModel, measures: MeasureAssignment | None = None):
     """Sum of the σ-measures of the distinct reflection entries."""
     require_valid(model)
     table = (measures or model.measures).reflection
-    missing = [i for i in range(len(model.reflections)) if i not in table]
-    if missing:
-        raise MissingMeasureError("reflection", missing)
-    return _exact_sum([table[i] for i in range(len(model.reflections))])
+    return _measured_sum(table, range(len(model.reflections)), "reflection")
 
 
 def delay(model: InformationModel) -> Fraction:
@@ -104,23 +108,19 @@ def delay(model: InformationModel) -> Fraction:
 def scope(model: InformationModel, measures: MeasureAssignment | None = None):
     """Sum of the σ-measures of the noumenon elements."""
     require_valid(model)
-    table = (measures or model.measures).noumenon
-    missing = [n for n in sorted(model.noumena) if n not in table]
-    if missing:
-        raise MissingMeasureError("noumenon", missing)
-    return _exact_sum([table[n] for n in sorted(model.noumena)])
+    return _measured_sum((measures or model.measures).noumenon, sorted(model.noumena), "noumenon")
 
 
 def granularity(model: InformationModel, measures: MeasureAssignment | None = None):
-    """Average noumenon measure of the model's atoms (counting weights)."""
+    """Average noumenon measure of the model's atoms (counting weights).
+
+    A valid mapping pairs every state exactly once, so the atoms are the
+    states themselves."""
+    require_valid(model)
     table = (measures or model.measures).noumenon
-    atoms = decompose_atomic(model)
-    per_atom = []
-    for atom in atoms:
-        missing = [n for n in sorted(atom.state.subjects) if n not in table]
-        if missing:
-            raise MissingMeasureError("noumenon", missing)
-        per_atom.append(_exact_sum([table[n] for n in sorted(atom.state.subjects)]))
+    per_atom = [
+        _measured_sum(table, sorted(state.subjects), "noumenon") for state in model.states
+    ]
     total = _exact_sum(per_atom)
     if isinstance(total, (Integral, Fraction)):
         return Fraction(total, len(per_atom))
@@ -218,12 +218,7 @@ def _value_distance(a, b, kind: str):
         return abs(a - b)
     if len(ka[1]) != len(kb[1]):
         raise DistanceError(f"vector dimensions differ: {len(ka[1])} vs {len(kb[1])}")
-    diffs = [abs(x - y) for x, y in zip(ka[1], kb[1])]
-    if kind == "L1":
-        return _exact_sum(diffs)
-    if kind == "Linf":
-        return max(diffs, default=0)
-    return math.sqrt(math.fsum(float(d) * float(d) for d in diffs))
+    return _combine_entry_distances([abs(x - y) for x, y in zip(ka[1], kb[1])], kind)
 
 
 def distortion(restored, truth, spec: DistanceSpec = DistanceSpec()):

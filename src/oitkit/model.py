@@ -131,35 +131,15 @@ class InformationModel:
     enabled: bool = True
     label: str = ""
 
-    def __init__(
-        self,
-        noumena: Iterable[str],
-        carriers: Iterable[str],
-        occurrence: TimeSet,
-        reflection_time: TimeSet,
-        states: Sequence[StateEntry],
-        reflections: Sequence[StateEntry],
-        mapping: Sequence[tuple[int, int]],
-        measures: MeasureAssignment = MeasureAssignment(),
-        copies: Sequence[CopyRecord] | None = None,
-        enabled: bool = True,
-        label: str = "",
-    ):
-        object.__setattr__(self, "noumena", frozenset(noumena))
-        object.__setattr__(self, "carriers", frozenset(carriers))
-        object.__setattr__(self, "occurrence", occurrence)
-        object.__setattr__(self, "reflection_time", reflection_time)
-        object.__setattr__(self, "states", tuple(states))
-        object.__setattr__(self, "reflections", tuple(reflections))
-        object.__setattr__(
-            self, "mapping", tuple((int(s), int(r)) for s, r in mapping)
-        )
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(
-            self, "copies", tuple(copies) if copies is not None else None
-        )
-        object.__setattr__(self, "enabled", bool(enabled))
-        object.__setattr__(self, "label", label)
+    def __post_init__(self):
+        object.__setattr__(self, "noumena", frozenset(self.noumena))
+        object.__setattr__(self, "carriers", frozenset(self.carriers))
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "reflections", tuple(self.reflections))
+        object.__setattr__(self, "mapping", tuple((int(s), int(r)) for s, r in self.mapping))
+        if self.copies is not None:
+            object.__setattr__(self, "copies", tuple(self.copies))
+        object.__setattr__(self, "enabled", bool(self.enabled))
 
     # Derived data, computed on first use and kept on the instance. Every
     # field is immutable, so none of it can go stale; `dataclasses.replace`
@@ -235,10 +215,6 @@ def _check(model: InformationModel) -> ValidationReport:
     bad: list[Violation] = []
     warn: list[Violation] = []
 
-    def check(cond: bool, rule: str, message: str, postulate: str | None = None):
-        if not cond:
-            bad.append(Violation(rule, message, postulate))
-
     def check_measure(value, rule: str, subject: str, negative: str):
         """A measure must be a finite real number (ints and Fractions always
         are), and nonnegative."""
@@ -247,103 +223,75 @@ def _check(model: InformationModel) -> ValidationReport:
         elif value < 0:
             bad.append(Violation(f"{rule}-nonnegative", negative))
 
-    check(bool(model.noumena), "noumena-nonempty", "noumenon set is empty", "postulate-1")
-    check(bool(model.carriers), "carriers-nonempty", "carrier set is empty", "postulate-1")
-    check(bool(model.states), "states-nonempty", "state set is empty", "postulate-3")
-    check(
-        bool(model.reflections),
-        "reflections-nonempty",
-        "reflection set is empty",
-        "postulate-3",
-    )
+    if not model.noumena:
+        bad.append(Violation("noumena-nonempty", "noumenon set is empty", "postulate-1"))
+    if not model.carriers:
+        bad.append(Violation("carriers-nonempty", "carrier set is empty", "postulate-1"))
+    if not model.states:
+        bad.append(Violation("states-nonempty", "state set is empty", "postulate-3"))
+    if not model.reflections:
+        bad.append(Violation("reflections-nonempty", "reflection set is empty", "postulate-3"))
 
-    for i, entry in enumerate(model.states):
-        check(
-            bool(entry.subjects),
-            "state-subjects-nonempty",
-            f"state {i} has no subjects",
-            "postulate-3",
-        )
-        check(
-            entry.subjects <= model.noumena,
-            "state-subjects-resolve",
-            f"state {i} references unknown noumena {sorted(entry.subjects - model.noumena)}",
-            "postulate-3",
-        )
-        check(
-            entry.time.issubset(model.occurrence),
-            "state-times-within-occurrence",
-            f"state {i} has times outside the occurrence set",
-            "postulate-2",
-        )
-    for i, entry in enumerate(model.reflections):
-        check(
-            bool(entry.subjects),
-            "reflection-subjects-nonempty",
-            f"reflection {i} has no subjects",
-            "postulate-3",
-        )
-        check(
-            entry.subjects <= model.carriers,
-            "reflection-subjects-resolve",
-            f"reflection {i} references unknown carriers {sorted(entry.subjects - model.carriers)}",
-            "postulate-3",
-        )
-        check(
-            entry.time.issubset(model.reflection_time),
-            "reflection-times-within-duration",
-            f"reflection {i} has times outside the reflection time set",
-            "postulate-2",
-        )
+    for side, entries, elements, elements_name, times, times_rule, times_name in (
+        ("state", model.states, model.noumena, "noumena", model.occurrence,
+         "occurrence", "occurrence"),
+        ("reflection", model.reflections, model.carriers, "carriers", model.reflection_time,
+         "duration", "reflection time"),
+    ):
+        for i, entry in enumerate(entries):
+            if not entry.subjects:
+                bad.append(Violation(
+                    f"{side}-subjects-nonempty", f"{side} {i} has no subjects", "postulate-3"
+                ))
+            if not entry.subjects <= elements:
+                unknown = sorted(entry.subjects - elements)
+                bad.append(Violation(
+                    f"{side}-subjects-resolve",
+                    f"{side} {i} references unknown {elements_name} {unknown}",
+                    "postulate-3",
+                ))
+            if not entry.time.issubset(times):
+                bad.append(Violation(
+                    f"{side}-times-within-{times_rule}",
+                    f"{side} {i} has times outside the {times_name} set",
+                    "postulate-2",
+                ))
 
-    seen_states = [s for s, _ in model.mapping]
-    check(
-        sorted(seen_states) == list(range(len(model.states))),
-        "mapping-total",
-        "mapping must pair every state index exactly once",
-        "postulate-4",
-    )
+    if sorted(s for s, _ in model.mapping) != list(range(len(model.states))):
+        bad.append(Violation(
+            "mapping-total", "mapping must pair every state index exactly once", "postulate-4"
+        ))
     targets = {r for _, r in model.mapping}
-    check(
-        all(0 <= r < len(model.reflections) for r in targets),
-        "mapping-range",
-        "mapping references reflection indices that do not exist",
-        "postulate-4",
-    )
-    check(
-        targets >= set(range(len(model.reflections))),
-        "mapping-surjective",
-        "every reflection entry must be the image of some state",
-        "postulate-4",
-    )
+    if not all(0 <= r < len(model.reflections) for r in targets):
+        bad.append(Violation(
+            "mapping-range",
+            "mapping references reflection indices that do not exist",
+            "postulate-4",
+        ))
+    if not targets >= set(range(len(model.reflections))):
+        bad.append(Violation(
+            "mapping-surjective",
+            "every reflection entry must be the image of some state",
+            "postulate-4",
+        ))
 
-    for kind, table, universe in (
-        ("noumenon", model.measures.noumenon, model.noumena),
-        ("carrier", model.measures.carrier, model.carriers),
+    for kind, table, universe, what in (
+        ("noumenon", model.measures.noumenon, model.noumena, "element"),
+        ("carrier", model.measures.carrier, model.carriers, "element"),
+        ("reflection", model.measures.reflection, range(len(model.reflections)), "index"),
     ):
         for key, val in table.items():
-            check(
-                key in universe,
-                f"{kind}-measure-resolves",
-                f"{kind} measure assigned to unknown element {key!r}",
-            )
+            if key not in universe:
+                bad.append(Violation(
+                    f"{kind}-measure-resolves",
+                    f"{kind} measure assigned to unknown {what} {key!r}",
+                ))
             subject = f"{kind} measure of {key!r}"
             check_measure(val, f"{kind}-measure", subject, f"{subject} is negative")
-    for idx, val in model.measures.reflection.items():
-        check(
-            0 <= idx < len(model.reflections),
-            "reflection-measure-resolves",
-            f"reflection measure assigned to unknown index {idx}",
-        )
-        subject = f"reflection measure of {idx}"
-        check_measure(val, "reflection-measure", subject, f"{subject} is negative")
-    if model.copies is not None:
-        for i, copy in enumerate(model.copies):
-            for rule, value, part in (
-                ("copy-measure", copy.carrier_measure, "measure"),
-                ("copy-weight", copy.weight, "weight"),
-            ):
-                check_measure(value, rule, f"copy {i} {part}", f"copy {i} has negative {part}")
+    for i, copy in enumerate(model.copies or ()):
+        for part, value in (("measure", copy.carrier_measure), ("weight", copy.weight)):
+            subject = f"copy {i} {part}"
+            check_measure(value, f"copy-{part}", subject, f"copy {i} has negative {part}")
 
     if len(set(model.state_keys)) < len(model.states):
         warn.append(

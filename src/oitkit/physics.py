@@ -14,7 +14,7 @@ All numbers here are plain floats with relative-tolerance contracts; the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 # The long-window rate for 1 kg over 1 s, 4C²/h, evaluates to ≈ 5.4545e50
@@ -36,6 +36,9 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be a finite number, got {value}")
 
 
+_CONSTANTS = ("h", "C", "k_b", "G", "H0", "ly")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Named constants with a profile tag carried into every output.
@@ -53,7 +56,7 @@ class PhysicalConstants:
     ly: float  # light-year, m
 
     def __post_init__(self):
-        for fieldname in ("h", "C", "k_b", "G", "H0", "ly"):
+        for fieldname in _CONSTANTS:
             _require_finite(**{fieldname: getattr(self, fieldname)})
             if getattr(self, fieldname) <= 0:
                 raise ValueError(f"constant {fieldname} must be positive")
@@ -92,18 +95,12 @@ def profile(name: str) -> PhysicalConstants:
 def constants_from_dict(data: dict, name: str = "custom") -> PhysicalConstants:
     """Constants from a document of field values; missing fields come from
     the profile `name` names, or from "paper". Unknown keys are rejected."""
-    unknown = set(data) - {f.name for f in fields(PhysicalConstants)}
+    unknown = set(data) - {"name", *_CONSTANTS}
     if unknown:
         raise ValueError(f"unknown constants {sorted(unknown)}")
     base = PROFILES.get(name, PAPER)
     return PhysicalConstants(
-        name=name,
-        h=float(data.get("h", base.h)),
-        C=float(data.get("C", base.C)),
-        k_b=float(data.get("k_b", base.k_b)),
-        G=float(data.get("G", base.G)),
-        H0=float(data.get("H0", base.H0)),
-        ly=float(data.get("ly", base.ly)),
+        name, **{key: float(data.get(key, getattr(base, key))) for key in _CONSTANTS}
     )
 
 
