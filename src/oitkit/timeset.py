@@ -35,8 +35,9 @@ def seconds(value: TimeLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, float):
-        # shortest repr keeps "0.01" exact instead of the binary neighbour
-        return Fraction(repr(value))
+        # shortest repr keeps "0.01" exact instead of the binary neighbour;
+        # float() first, as a NumPy 2 scalar's repr is "np.float64(0.01)"
+        return Fraction(repr(float(value)))
     raise TypeError(f"cannot interpret {value!r} as seconds")
 
 

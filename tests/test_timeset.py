@@ -28,6 +28,14 @@ def test_float_parses_through_shortest_repr():
     assert seconds(0.1) == Fraction(1, 10)
 
 
+def test_numpy_float_scalars_parse_like_floats():
+    np = pytest.importorskip("numpy")
+    assert seconds(np.float64(0.01)) == Fraction(1, 100)
+    assert ticks(np.float64(-2.5)) == -2_500_000_000
+    ts = TimeSet(intervals=[(np.float64(0.5), np.float64(1.25))], points=[np.float64(3.1)])
+    assert ts == TimeSet(intervals=[("0.5", "1.25")], points=["3.1"])
+
+
 def test_seconds_str_decimal_and_fallback():
     assert seconds_str(Fraction(1201, 100)) == "12.01"
     assert seconds_str(Fraction(999, 100)) == "9.99"
