@@ -8,9 +8,16 @@ Usage: python scripts/invariance_sweep.py [trials] [seed]
 
 import random
 import sys
+from pathlib import Path
 
 from oitkit.classical import aggregation_invariance_check, variety_invariance_check
-from oitkit.generate import random_relation, random_relation_set, random_restorable_model
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from generate import (  # noqa: E402  (the tests' model generators)
+    random_relation,
+    random_relation_set,
+    random_restorable_model,
+)
 
 
 def main(trials: int = 1000, seed: int = 7) -> int:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .model import (
+from oitkit.metrics import EquivalenceRelation, RelationSet
+from oitkit.model import (
     CopyRecord,
     InformationModel,
     MeasureAssignment,
     StateEntry,
 )
-from .timeset import TimeSet
+from oitkit.timeset import TimeSet
 
 
 def random_timeset(rng: random.Random, lo: int = 0, hi: int = 10_000) -> TimeSet:
@@ -198,8 +199,6 @@ def random_chain(
 
 def random_relation(rng: random.Random, model: InformationModel):
     """A total equivalence relation constant on duplicate state values."""
-    from .metrics import EquivalenceRelation
-
     class_count = rng.randint(1, max(1, len(model.states)))
     by_key: dict = {}
     labels = {}
@@ -213,8 +212,6 @@ def random_relation(rng: random.Random, model: InformationModel):
 
 def random_relation_set(rng: random.Random, model: InformationModel):
     """Random labelled edges over the model's state indices."""
-    from .metrics import RelationSet
-
     n = len(model.states)
     edges = [
         (rng.randrange(n), rng.randrange(n), f"rel{rng.randrange(3)}")

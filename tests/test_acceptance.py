@@ -30,18 +30,18 @@ from oitkit.classical import (
     shannon_min_volume,
     variety_invariance_check,
 )
-from oitkit.generate import (
-    random_chain,
-    random_relation,
-    random_relation_set,
-    random_restorable_model,
-)
 from oitkit.metrics import delay, volume
 from oitkit.model import InformationModel, StateEntry, compose_chain, decompose_atomic, is_restorable
 from oitkit.physics import PAPER, bits_per_kg, exact_transition_count, quantum_volume, qubits_per_kg_second, universe_info
 from oitkit.scenarios import network_model
 from oitkit.timeset import TimeSet
 
+from generate import (
+    random_chain,
+    random_relation,
+    random_relation_set,
+    random_restorable_model,
+)
 from oracles import average_probes, batch_mmse, restorable_bruteforce
 from test_model import enumerate_small_models
 

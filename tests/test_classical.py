@@ -26,16 +26,16 @@ from oitkit.classical import (
     variety_invariance_check,
 )
 from oitkit.errors import NotRestorableError, SearchError, SingularInnovationError
-from oitkit.generate import (
+from oitkit.metrics import EquivalenceRelation, RelationSet, delay, duration, mismatch
+from oitkit.model import InformationModel, StateEntry, compose_chain
+from oitkit.timeset import TimeSet
+
+from generate import (
     random_chain,
     random_relation,
     random_relation_set,
     random_restorable_model,
 )
-from oitkit.metrics import EquivalenceRelation, RelationSet, delay, duration, mismatch
-from oitkit.model import InformationModel, StateEntry, compose_chain
-from oitkit.timeset import TimeSet
-
 from oracles import average_probes, batch_mmse, radar_range_by_bisection
 
 # ---------------------------------------------------------------- entropy

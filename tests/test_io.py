@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from oitkit.generate import random_chain, random_restorable_model
 from oitkit.io import (
     json_ready,
     load_chain,
@@ -16,6 +15,8 @@ from oitkit.io import (
 from oitkit.metrics import volume
 from oitkit.model import validate
 from oitkit.scenarios import penguin_model
+
+from generate import random_chain, random_restorable_model
 
 
 def test_penguin_roundtrip_is_lossless(penguin):

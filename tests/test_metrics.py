@@ -12,7 +12,6 @@ from oitkit.errors import (
     MissingMeasureError,
     PartialRelationError,
 )
-from oitkit.generate import random_restorable_model
 from oitkit.metrics import (
     DistanceSpec,
     EquivalenceRelation,
@@ -32,6 +31,8 @@ from oitkit.metrics import (
 )
 from oitkit.model import CopyRecord, InformationModel, MeasureAssignment, StateEntry
 from oitkit.timeset import TimeSet
+
+from generate import random_restorable_model
 
 
 def flat_model(
@@ -183,7 +184,7 @@ def test_variety_requires_total_relation():
 
 def test_variety_never_exceeds_state_count():
     rng = random.Random(19)
-    from oitkit.generate import random_relation
+    from generate import random_relation
 
     for _ in range(50):
         m = random_restorable_model(rng, with_duplicates=True)

@@ -10,7 +10,6 @@ import pytest
 
 from oitkit import model as model_module
 from oitkit.errors import ChainMismatchError, InvalidModelError, NotRestorableError, OverlapError, UnknownIndexError
-from oitkit.generate import random_chain, random_restorable_model
 from oitkit.metrics import EquivalenceRelation, RelationSet, delay, metric_report, volume
 from oitkit.model import (
     CopyRecord,
@@ -28,6 +27,7 @@ from oitkit.model import (
 from oitkit.scenarios import penguin_model
 from oitkit.timeset import TimeSet
 
+from generate import random_chain, random_restorable_model
 from oracles import restorable_bruteforce
 
 T1 = TimeSet.span(0, 1)
