@@ -8,12 +8,18 @@ import pytest
 
 from oitkit.cli import main
 
+from test_model import REPORTED_RULES, WARNING_RULES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _cli_section_commands() -> list[str]:
+def _section(title: str) -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _cli_section_commands() -> list[str]:
+    section = _section("CLI")
     blocks = re.findall(r"```sh\n(.*?)```", section, flags=re.DOTALL)
     return [line for block in blocks for line in block.splitlines() if line.startswith("oitkit ")]
 
@@ -30,3 +36,11 @@ def test_readme_command_runs(line, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     argv = shlex.split(line, comments=True)
     assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_lists_every_validation_rule():
+    section = _section("Model files")
+    table = "".join(line for line in section.splitlines() if line.startswith("| "))
+    warnings = section.split("\nWarnings leave the model valid:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`([a-z-]+)`", table)) == REPORTED_RULES - WARNING_RULES
+    assert set(re.findall(r"`([a-z-]+)`", warnings)) == WARNING_RULES
