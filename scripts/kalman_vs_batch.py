@@ -14,30 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from oitkit.classical import LinearSystemSpec, kalman_filter
+from oitkit.classical import kalman_filter
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from generate import random_system  # noqa: E402  (the tests' system generator)
 from oracles import batch_mmse  # noqa: E402  (the tests' independent Kalman oracle)
-
-
-def random_system(rng: np.random.Generator) -> tuple[LinearSystemSpec, np.ndarray]:
-    n = int(rng.integers(1, 4))
-    p = int(rng.integers(1, 4))
-    A = rng.normal(size=(n, n))
-    radius = max(abs(np.linalg.eigvals(A)))
-    if radius > 0:
-        A *= rng.uniform(0.3, 1.05) / radius
-    H = rng.normal(size=(p, n))
-    L = rng.normal(size=(n, n)) * 0.5
-    Q = L @ L.T
-    M = rng.normal(size=(p, p)) * 0.5
-    R = M @ M.T + 0.2 * np.eye(p)
-    L0 = rng.normal(size=(n, n)) * 0.5
-    P0 = L0 @ L0.T
-    x0 = rng.normal(size=n)
-    steps = int(rng.integers(1, 31))
-    z = rng.normal(size=(steps, p))
-    return LinearSystemSpec(A=A, H=H, Q=Q, R=R, x0=x0, P0=P0), z
 
 
 def main(systems: int = 50, seed: int = 3) -> int:

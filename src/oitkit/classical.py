@@ -26,6 +26,7 @@ from .metrics import (
     DistanceSpec,
     EquivalenceRelation,
     RelationSet,
+    _state_labels,
     aggregation,
     coverage,
     mismatch,
@@ -114,19 +115,16 @@ def variety_invariance_check(
     """Transport an equivalence relation through the mapping and compare
     class counts on both sides; they agree for every restorable model."""
     _require_restorable(model)
-    missing = [i for i in range(len(model.states)) if i not in relation.labels]
-    if missing:
-        raise PartialRelationError(f"relation does not label states {missing}")
+    labels = _state_labels(model, relation)
     label_of_key: dict = {}
-    for i, key in enumerate(model.state_keys):
-        lab = relation.labels[i]
+    for key, lab in zip(model.state_keys, labels):
         if label_of_key.setdefault(key, lab) != lab:
             raise PartialRelationError(
                 "relation gives duplicate state values inconsistent labels"
             )
     transported: dict = {}
     for s, r in model.mapping:
-        transported[r] = relation.labels[s]
+        transported[r] = labels[s]
     state_classes = len({label_of_key[k] for k in label_of_key})
     reflection_classes = len(set(transported.values()))
     return InvarianceResult(state_classes, reflection_classes, state_classes == reflection_classes)

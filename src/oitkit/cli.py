@@ -131,30 +131,23 @@ def render_text(doc, indent: int = 0) -> str:
     """Generic text view of a report document; derived from the JSON form."""
     pad = "  " * indent
     if isinstance(doc, dict):
-        lines = []
-        for key in sorted(doc):
-            value = doc[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-        return "\n".join(lines)
-    if isinstance(doc, list):
-        lines = []
-        for value in doc:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
-        return "\n".join(lines)
-    return f"{pad}{doc}"
+        rows = [(f"{key}:", doc[key]) for key in sorted(doc)]
+    elif isinstance(doc, list):
+        rows = [("-", value) for value in doc]
+    else:
+        return f"{pad}{doc}"
+    lines = []
+    for head, value in rows:
+        if isinstance(value, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines.append(render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {value}")
+    return "\n".join(lines)
 
 
 def emit(report: dict, args) -> None:
-    doc = json_ready(report)
-    text = to_json_text(doc) if args.format == "json" else render_text(doc)
+    text = to_json_text(report) if args.format == "json" else render_text(json_ready(report))
     if args.output:
         try:
             Path(args.output).write_text(text + "\n", encoding="utf-8")

@@ -54,10 +54,6 @@ class GapError(OitError):
     """Sampling gaps are absent, empty, or overlap the occurrence times."""
 
 
-class EmptyStateError(OitError):
-    """A ratio over the state set was requested for an empty state set."""
-
-
 class DistanceError(OitError):
     """Distance inputs have mismatched dimensions or kinds."""
 

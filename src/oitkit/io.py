@@ -32,7 +32,7 @@ def timeset_to_json(ts: TimeSet) -> dict:
 
 def timeset_from_json(obj: dict) -> TimeSet:
     return TimeSet(
-        intervals=[tuple(pair) for pair in obj.get("intervals", [])],
+        intervals=obj.get("intervals", []),
         points=obj.get("points", []),
     )
 
@@ -106,7 +106,7 @@ def model_from_json(doc: dict) -> InformationModel:
         reflection_time=timeset_from_json(doc["reflection"]),
         states=[entry_from_json(e) for e in doc["states"]],
         reflections=[entry_from_json(e) for e in doc["reflections"]],
-        mapping=[tuple(pair) for pair in doc["mapping"]],
+        mapping=doc["mapping"],
         measures=measures_from_json(doc.get("measures")),
         copies=None
         if copies is None

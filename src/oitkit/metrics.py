@@ -1,9 +1,9 @@
 """The eleven information metrics over validated models.
 
-Volume, scope, coverage and granularity read σ-measures off the model (or an
-override passed by the caller); delay, duration and sampling rate are exact
-time arithmetic; variety and aggregation count over user-supplied relations;
-distortion and mismatch are distances in a configurable distance space.
+Volume, scope, coverage and granularity read σ-measures off the model; delay,
+duration and sampling rate are exact time arithmetic; variety and aggregation
+count over user-supplied relations; distortion and mismatch are distances in a
+configurable distance space.
 """
 
 from __future__ import annotations
@@ -16,18 +16,12 @@ from typing import Sequence
 
 from .errors import (
     DistanceError,
-    EmptyStateError,
     GapError,
     MissingCopiesError,
     MissingMeasureError,
     PartialRelationError,
 )
-from .model import (
-    InformationModel,
-    MeasureAssignment,
-    require_valid,
-    value_key,
-)
+from .model import InformationModel, require_valid, value_key
 from .timeset import TimeSet, seconds
 
 
@@ -87,11 +81,10 @@ def _measured_sum(table, keys, kind: str):
     return _exact_sum([table[k] for k in keys])
 
 
-def volume(model: InformationModel, measures: MeasureAssignment | None = None):
+def volume(model: InformationModel):
     """Sum of the σ-measures of the distinct reflection entries."""
     require_valid(model)
-    table = (measures or model.measures).reflection
-    return _measured_sum(table, range(len(model.reflections)), "reflection")
+    return _measured_sum(model.measures.reflection, range(len(model.reflections)), "reflection")
 
 
 def delay(model: InformationModel) -> Fraction:
@@ -105,19 +98,19 @@ def delay(model: InformationModel) -> Fraction:
     return model.reflection_time.sup - model.occurrence.sup
 
 
-def scope(model: InformationModel, measures: MeasureAssignment | None = None):
+def scope(model: InformationModel):
     """Sum of the σ-measures of the noumenon elements."""
     require_valid(model)
-    return _measured_sum((measures or model.measures).noumenon, sorted(model.noumena), "noumenon")
+    return _measured_sum(model.measures.noumenon, sorted(model.noumena), "noumenon")
 
 
-def granularity(model: InformationModel, measures: MeasureAssignment | None = None):
+def granularity(model: InformationModel):
     """Average noumenon measure of the model's atoms (counting weights).
 
     A valid mapping pairs every state exactly once, so the atoms are the
     states themselves."""
     require_valid(model)
-    table = (measures or model.measures).noumenon
+    table = model.measures.noumenon
     per_atom = [
         _measured_sum(table, sorted(state.subjects), "noumenon") for state in model.states
     ]
@@ -127,13 +120,19 @@ def granularity(model: InformationModel, measures: MeasureAssignment | None = No
     return total / len(per_atom)
 
 
-def variety(model: InformationModel, relation: EquivalenceRelation) -> int:
-    """Number of equivalence classes the relation induces on the states."""
-    require_valid(model)
+def _state_labels(model: InformationModel, relation: EquivalenceRelation) -> list:
+    """The relation's label of each state, in index order; every state
+    must have one."""
     missing = [i for i in range(len(model.states)) if i not in relation.labels]
     if missing:
         raise PartialRelationError(f"relation does not label states {missing}")
-    return len({relation.labels[i] for i in range(len(model.states))})
+    return [relation.labels[i] for i in range(len(model.states))]
+
+
+def variety(model: InformationModel, relation: EquivalenceRelation) -> int:
+    """Number of equivalence classes the relation induces on the states."""
+    require_valid(model)
+    return len(set(_state_labels(model, relation)))
 
 
 def duration(model: InformationModel) -> Fraction:
@@ -186,23 +185,19 @@ def _value_level_edges(model: InformationModel, rels: RelationSet) -> set:
 def aggregation(model: InformationModel, rels: RelationSet) -> Fraction:
     """Distinct labelled relations per distinct state value."""
     require_valid(model)
-    keys = set(model.state_keys)
-    if not keys:
-        raise EmptyStateError("model has no states")
-    return Fraction(len(_value_level_edges(model, rels)), len(keys))
+    return Fraction(len(_value_level_edges(model, rels)), len(set(model.state_keys)))
 
 
-def coverage(model: InformationModel, copies=None):
+def coverage(model: InformationModel):
     """Weighted sum of carrier measures over the model and all its copies.
 
     The copy list is explicit and includes the model itself as one record;
     a model without a copy list has no defined coverage.
     """
     require_valid(model)
-    records = copies if copies is not None else model.copies
-    if records is None:
+    if model.copies is None:
         raise MissingCopiesError("model carries no copy records")
-    return _exact_sum([c.carrier_measure * c.weight for c in records])
+    return _exact_sum([c.carrier_measure * c.weight for c in model.copies])
 
 
 def _value_distance(a, b, kind: str):
@@ -315,7 +310,7 @@ def metric_report(
     def attempt(name, func, unit_label=""):
         try:
             report[name] = {"value": func(), "unit": unit_label}
-        except (MissingMeasureError, MissingCopiesError, GapError, EmptyStateError) as exc:
+        except (MissingMeasureError, MissingCopiesError, GapError) as exc:
             report[name] = {"skipped": str(exc)}
 
     attempt("volume", lambda: volume(model), unit)

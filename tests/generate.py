@@ -1,7 +1,8 @@
 """Synthetic model generators for property tests and experiments.
 
-Everything takes an explicit `random.Random` so runs are reproducible. Time
-coordinates are exact hundredths of a second, and measures are small
+Everything takes an explicit random generator so runs are reproducible:
+a `random.Random` for models, a `numpy.random.Generator` for Kalman systems.
+Time coordinates are exact hundredths of a second, and measures are small
 integers, which keeps every arithmetic identity exact.
 """
 
@@ -218,3 +219,33 @@ def random_relation_set(rng: random.Random, model: InformationModel):
         for _ in range(rng.randrange(0, 2 * n + 1))
     ]
     return RelationSet(edges)
+
+
+def random_system(rng, max_dim: int = 3, max_steps: int = 30):
+    """A random linear Gaussian system, with state and measurement sizes in
+    1..max_dim and A scaled to spectral radius 0.3–1.05, plus 1..max_steps
+    measurement rows; `rng` is a `numpy.random.Generator`."""
+    import numpy as np  # only the Kalman callers need numpy
+
+    from oitkit.classical import LinearSystemSpec
+
+    n = int(rng.integers(1, max_dim + 1))
+    p = int(rng.integers(1, max_dim + 1))
+    A = rng.normal(size=(n, n))
+    radius = max(abs(np.linalg.eigvals(A)))
+    if radius > 0:
+        A *= rng.uniform(0.3, 1.05) / radius
+    H = rng.normal(size=(p, n))
+    L = rng.normal(size=(n, n)) * 0.5
+    M = rng.normal(size=(p, p)) * 0.5
+    L0 = rng.normal(size=(n, n)) * 0.5
+    system = LinearSystemSpec(
+        A=A,
+        H=H,
+        Q=L @ L.T,
+        R=M @ M.T + 0.2 * np.eye(p),
+        x0=rng.normal(size=n),
+        P0=L0 @ L0.T,
+    )
+    z = rng.normal(size=(int(rng.integers(1, max_steps + 1)), p))
+    return system, z

@@ -35,6 +35,7 @@ from generate import (
     random_relation,
     random_relation_set,
     random_restorable_model,
+    random_system,
 )
 from oracles import average_probes, batch_mmse, radar_range_by_bisection
 
@@ -294,29 +295,6 @@ def test_kalman_trusts_measurements_when_noise_vanishes():
     assert steps[0].x[0] == pytest.approx(5.0, abs=1e-9)
     # Q = 0 pins a constant state, so consistent measurements keep tracking z
     assert steps[1].x[0] == pytest.approx(5.0, abs=1e-9)
-
-
-def random_system(rng: np.random.Generator, max_dim=3, max_steps=30):
-    n = int(rng.integers(1, max_dim + 1))
-    p = int(rng.integers(1, max_dim + 1))
-    A = rng.normal(size=(n, n))
-    radius = max(abs(np.linalg.eigvals(A)))
-    if radius > 0:
-        A *= rng.uniform(0.3, 1.05) / radius
-    H = rng.normal(size=(p, n))
-    L = rng.normal(size=(n, n)) * 0.5
-    M = rng.normal(size=(p, p)) * 0.5
-    L0 = rng.normal(size=(n, n)) * 0.5
-    system = LinearSystemSpec(
-        A=A,
-        H=H,
-        Q=L @ L.T,
-        R=M @ M.T + 0.2 * np.eye(p),
-        x0=rng.normal(size=n),
-        P0=L0 @ L0.T,
-    )
-    z = rng.normal(size=(int(rng.integers(1, max_steps + 1)), p))
-    return system, z
 
 
 def test_kalman_matches_batch_mmse_oracle():

@@ -328,6 +328,15 @@ def test_output_flag_writes_file(capsys, fixtures_dir, tmp_path):
     assert json.loads(out.read_text())["valid"] is True
 
 
+# Model files whose mapping pair or time interval is not a pair.
+BAD_PAIRS = {
+    "mapping_triple": lambda doc: doc.update(mapping=[[0, 0, 0]]),
+    "mapping_number": lambda doc: doc.update(mapping=[0]),
+    "interval_triple": lambda doc: doc["occurrence"].update(intervals=[["0", "0.01", "1"]]),
+    "interval_number": lambda doc: doc["occurrence"].update(intervals=[0]),
+}
+
+
 @pytest.mark.parametrize(
     "argv, bad",
     [
@@ -358,6 +367,10 @@ def test_output_flag_writes_file(capsys, fixtures_dir, tmp_path):
             "missing_dir",
             id="output-missing-dir",
         ),
+        *(
+            pytest.param(["validate", f"{{{bad}}}"], bad, id=bad.replace("_", "-"))
+            for bad in BAD_PAIRS
+        ),
     ],
 )
 def test_bad_files_are_usage_errors_naming_the_file(capsys, fixtures_dir, tmp_path, argv, bad):
@@ -372,11 +385,18 @@ def test_bad_files_are_usage_errors_naming_the_file(capsys, fixtures_dir, tmp_pa
     files["garbled"].write_text("{not json")
     files["empty"].write_text("{}")
     files["array"].write_text("[1, 2]")
+    for name, spoil in BAD_PAIRS.items():
+        doc = json.loads(files["penguin"].read_text())
+        spoil(doc)
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
     code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and str(files[bad]) in err
+    if bad in BAD_PAIRS:
+        assert err.startswith(f"error: {files[bad]} is not a model file: ")
 
 
 @pytest.mark.parametrize(

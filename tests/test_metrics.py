@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from oitkit.errors import (
     DistanceError,
     GapError,
+    InvalidModelError,
     MissingCopiesError,
     MissingMeasureError,
     PartialRelationError,
@@ -60,6 +63,35 @@ def flat_model(
         ),
         copies=copies,
     )
+
+
+# ------------------------------------------------- the validated model only
+
+def _bad_measure(table: str, key):
+    def fields(model, bad):
+        old = getattr(model.measures, table)
+        return {"measures": dataclasses.replace(model.measures, **{table: {**old, key: bad}})}
+
+    return fields
+
+
+@pytest.mark.parametrize("bad", [-5, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "metric, bad_fields",
+    [
+        pytest.param(volume, _bad_measure("reflection", 0), id="volume"),
+        pytest.param(scope, _bad_measure("noumenon", "penguin-1"), id="scope"),
+        pytest.param(granularity, _bad_measure("noumenon", "penguin-1"), id="granularity"),
+        pytest.param(coverage, lambda model, bad: {"copies": [CopyRecord(bad)]}, id="coverage"),
+    ],
+)
+def test_metrics_read_only_the_validated_model(penguin, metric, bad_fields, bad):
+    # a table reaches a metric only inside a model, where `validate` checks it
+    fields = bad_fields(penguin, bad)
+    with pytest.raises(TypeError):
+        metric(penguin, *fields.values())
+    with pytest.raises(InvalidModelError):
+        metric(dataclasses.replace(penguin, **fields))
 
 
 # ---------------------------------------------------------------- volume

@@ -1,4 +1,5 @@
-"""The README's CLI commands run verbatim from the repository root."""
+"""The README's CLI commands and library example run verbatim from the
+repository root, and its rule list matches the validator."""
 
 import re
 import shlex
@@ -36,6 +37,12 @@ def test_readme_command_runs(line, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     argv = shlex.split(line, comments=True)
     assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_library_use_runs(capsys):
+    block = re.search(r"```python\n(.*?)```", _section("Library use"), flags=re.DOTALL)
+    exec(block.group(1), {})
+    assert capsys.readouterr().out.splitlines()[0] == "359999/100"
 
 
 def test_readme_lists_every_validation_rule():
