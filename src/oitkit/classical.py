@@ -116,16 +116,16 @@ def variety_invariance_check(
     class counts on both sides; they agree for every restorable model."""
     _require_restorable(model)
     labels = _state_labels(model, relation)
-    label_of_key: dict = {}
-    for key, lab in zip(model.state_keys, labels):
-        if label_of_key.setdefault(key, lab) != lab:
+    label_of_state: dict = {}
+    for state, lab in zip(model.states, labels):
+        if label_of_state.setdefault(state, lab) != lab:
             raise PartialRelationError(
                 "relation gives duplicate state values inconsistent labels"
             )
     transported: dict = {}
     for s, r in model.mapping:
         transported[r] = labels[s]
-    state_classes = len({label_of_key[k] for k in label_of_key})
+    state_classes = len(set(label_of_state.values()))
     reflection_classes = len(set(transported.values()))
     return InvarianceResult(state_classes, reflection_classes, state_classes == reflection_classes)
 
@@ -138,11 +138,11 @@ def aggregation_invariance_check(
     _require_restorable(model)
     ratio_states = aggregation(model, rels)
     to_reflection = dict(model.mapping)
-    keys = model.reflection_keys
+    refl = model.reflections
     transported = {
-        (keys[to_reflection[a]], keys[to_reflection[b]], lab) for a, b, lab in rels.edges
+        (refl[to_reflection[a]], refl[to_reflection[b]], lab) for a, b, lab in rels.edges
     }
-    distinct_reflections = set(keys)
+    distinct_reflections = set(refl)
     ratio_reflections = Fraction(len(transported), len(distinct_reflections))
     return InvarianceResult(ratio_states, ratio_reflections, ratio_states == ratio_reflections)
 
@@ -363,6 +363,8 @@ def asl(algorithm: str, n: int, probabilities: Sequence | None = None) -> Fracti
     if n < 1:
         raise ValueError("n must be at least 1")
     if algorithm == "sequential":
+        if probabilities is None:
+            return Fraction(n + 1, 2)
         costs = range(1, n + 1)
     elif algorithm == "bisection":
         if n & (n + 1) != 0:
@@ -376,8 +378,6 @@ def asl(algorithm: str, n: int, probabilities: Sequence | None = None) -> Fracti
         costs = _bisection_depths(n)
     else:
         raise ValueError(f"unknown search algorithm {algorithm!r}")
-    if probabilities is None:
-        return sum((Fraction(c, n) for c in costs), Fraction(0))
     probs = [Fraction(p) if not isinstance(p, float) else p for p in probabilities]
     if len(probs) != n:
         raise ValueError("need one probability per item")

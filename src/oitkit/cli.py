@@ -9,7 +9,8 @@ the chosen row and emits its report, as JSON or as a text view of the same
 document. Every file argument is read by `read_file`. Exit codes: 0 success,
 1 domain error (invalid model, missing measure, non-restorable mapping, ...;
 also any report whose `valid` field is false), 2 usage error (unknown flags; a
-file that is missing, unparseable, or of the wrong shape).
+flag value that does not parse; a file that is missing, unparseable, or of the
+wrong shape).
 """
 
 from __future__ import annotations
@@ -70,40 +71,30 @@ def reader(kind: str, convert: Callable[[Any], Any]) -> Callable[[str], Any]:
     return lambda path: read_file(path, kind, convert)
 
 
-def inline_value(flag: str) -> Callable[[str], Any]:
-    """An argparse `type` for a state value given inline as JSON: a string, a
-    number or an array of numbers. Anything else is a usage error naming `flag`."""
-
-    def parse(text: str) -> Any:
-        try:
-            value = json.loads(text)
-            value_key(value)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"{flag} is not a state value: {exc}") from exc
-        return value
-
-    return parse
+def inline_value(text: str) -> Any:
+    """A state value given inline as JSON: a string, a number or an array of
+    numbers."""
+    value = json.loads(text)
+    value_key(value)
+    return value
 
 
-def time_pairs(flag: str) -> Callable[[str], list]:
-    """An argparse `type` for a JSON list of [a, b] time pairs, such as
-    '[[1, 2], ["3.5", 4]]'. Anything else is a usage error naming `flag`."""
+def time_pairs(text: str) -> list:
+    """A JSON list of [a, b] time pairs, such as '[[1, 2], ["3.5", 4]]'."""
+    pairs = json.loads(text)
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in pairs
+    ):
+        raise ValueError(f"expected a JSON list of [a, b] pairs, got {text}")
+    for pair in pairs:
+        for t in pair:
+            seconds(t)  # raises for anything that is not a time
+    return pairs
 
-    def parse(text: str) -> list:
-        try:
-            pairs = json.loads(text)
-            if not isinstance(pairs, list) or not all(
-                isinstance(pair, list) and len(pair) == 2 for pair in pairs
-            ):
-                raise ValueError(f"expected a JSON list of [a, b] pairs, got {text}")
-            for pair in pairs:
-                for t in pair:
-                    seconds(t)  # raises for anything that is not a time
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"{flag} is not a list of time pairs: {exc}") from exc
-        return pairs
 
-    return parse
+def listed(parse: Callable[[str], Any]) -> Callable[[str], list]:
+    """Read items separated by commas or spaces, such as '1,2,3', with `parse`."""
+    return lambda text: [parse(part) for part in text.replace(",", " ").split()]
 
 
 def _parse_constants(value: str) -> physics.PhysicalConstants:
@@ -116,15 +107,8 @@ def _parse_constants(value: str) -> physics.PhysicalConstants:
     )
 
 
-def _parse_number_list(text: str) -> list[float]:
-    return [float(part) for part in text.replace(",", " ").split()]
-
-
 def _distance_spec(args) -> metrics.DistanceSpec:
-    weights = (1, 1, 1, 1, 1, 1)
-    if args.weights:
-        weights = tuple(_parse_number_list(args.weights))
-    return metrics.DistanceSpec(kind=args.distance, weights=weights)
+    return metrics.DistanceSpec(kind=args.distance, weights=args.weights or (1, 1, 1, 1, 1, 1))
 
 
 def render_text(doc, indent: int = 0) -> str:
@@ -222,13 +206,11 @@ def run_demo(args) -> dict:
 
 
 def run_entropy(args) -> dict:
-    probs = _parse_number_list(args.probs)
-    return {"entropy_bits": classical.shannon_min_volume(probs), "probabilities": probs}
+    return {"entropy_bits": classical.shannon_min_volume(args.probs), "probabilities": args.probs}
 
 
 def run_chain_delay(args) -> dict:
-    delays = args.delays.replace(",", " ").split()
-    return {"total_delay_s": classical.serial_chain_delay(delays)}
+    return {"total_delay_s": classical.serial_chain_delay(args.delays)}
 
 
 def run_radar(args) -> dict:
@@ -250,7 +232,7 @@ def run_variety_check(args) -> dict:
 def run_nyquist(args) -> dict:
     doc = {"min_rate_hz": classical.nyquist_min_rate(args.period)}
     if args.rate is not None:
-        doc["rate_hz"] = seconds(args.rate)
+        doc["rate_hz"] = args.rate
         doc["restorable"] = classical.nyquist_restorable(args.rate, args.period)
     return doc
 
@@ -352,6 +334,25 @@ def arg(*flags: str, **options) -> tuple:
     return flags, options
 
 
+def flag_arg(flag: str, kind: tuple[str, Callable[[str], Any]], **options) -> tuple:
+    """The spec of a flag whose text holds `kind`: what it should be, and the
+    function that parses it. A `TypeError` or `ValueError` from that function
+    is a usage error naming the flag."""
+    what, parse = kind
+
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{flag} is not {what}: {exc}") from exc
+
+    return arg(flag, type=convert, **options)
+
+
+STATE_VALUE = ("a state value", inline_value)
+TIME_PAIRS = ("a list of time pairs", time_pairs)
+NUMBERS = ("a list of numbers", listed(float))
+TIMES = ("a list of times", listed(seconds))
 MODEL_FILE = reader("model", model_from_json)
 LABELS_FILE = reader("relation", lambda doc: metrics.EquivalenceRelation(doc["labels"]))
 EDGES_FILE = reader("edges", lambda doc: metrics.RelationSet(doc["edges"]))
@@ -363,6 +364,7 @@ CONSTANTS = arg(
     help="constants profile: 'paper', 'codata', or a JSON file",
 )
 DISTANCE = arg("--distance", choices=metrics.DISTANCE_KINDS, default="L2")
+WEIGHTS = flag_arg("--weights", NUMBERS, help="six component weights, e.g. '1,1,1,1,1,1'")
 
 COMMANDS: dict[tuple[str, ...], Command] = {
     ("validate",): Command(
@@ -381,20 +383,12 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         MODEL,
         arg("--relation", type=LABELS_FILE, help="JSON file with {'labels': {state_index: label}}"),
         arg("--edges", type=EDGES_FILE, help="JSON file with {'edges': [[i, j, label], ...]}"),
-        arg("--gaps", type=time_pairs("--gaps"), help="JSON list of [lo, hi] occurrence gaps"),
+        flag_arg("--gaps", TIME_PAIRS, help="JSON list of [lo, hi] occurrence gaps"),
         arg("--target", type=MODEL_FILE, help="model file to measure mismatch against"),
-        arg(
-            "--restored",
-            type=inline_value("--restored"),
-            help="JSON value for the distortion input",
-        ),
-        arg(
-            "--truth",
-            type=inline_value("--truth"),
-            help="JSON value for the distortion reference",
-        ),
+        flag_arg("--restored", STATE_VALUE, help="JSON value for the distortion input"),
+        flag_arg("--truth", STATE_VALUE, help="JSON value for the distortion reference"),
         DISTANCE,
-        arg("--weights", help="six component weights, e.g. '1,1,1,1,1,1'"),
+        WEIGHTS,
         help="compute the eleven information metrics for a model",
     ),
     ("restore",): Command(
@@ -425,12 +419,12 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ("classical", "entropy"): Command(
         "Shannon source-coding bound in bits.",
         run_entropy,
-        arg("--probs", required=True, help="probabilities, e.g. '0.5,0.25,0.25'"),
+        flag_arg("--probs", NUMBERS, required=True, help="probabilities, e.g. '0.5,0.25,0.25'"),
     ),
     ("classical", "chain-delay"): Command(
         "Sum of serial link delays, exact.",
         run_chain_delay,
-        arg("--delays", required=True, help="delays in seconds, e.g. '1,2,3'"),
+        flag_arg("--delays", TIMES, required=True, help="delays in seconds, e.g. '1,2,3'"),
     ),
     ("classical", "radar"): Command(
         "Radar range equation: max range from scope.",
@@ -458,18 +452,13 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ("classical", "mtbf"): Command(
         "Mean duration over monitoring sessions.",
         lambda args: {"mean_duration_s": classical.mtbf_duration(args.sessions)},
-        arg(
-            "--sessions",
-            type=time_pairs("--sessions"),
-            required=True,
-            help="JSON [[sup, inf], ...]",
-        ),
+        flag_arg("--sessions", TIME_PAIRS, required=True, help="JSON [[sup, inf], ...]"),
     ),
     ("classical", "nyquist"): Command(
         "Minimum restorable sampling rate of periodic information.",
         run_nyquist,
-        arg("--period", required=True, help="signal period, s"),
-        arg("--rate", help="sampling rate to test, 1/s"),
+        flag_arg("--period", ("a time", seconds), required=True, help="signal period, s"),
+        flag_arg("--rate", ("a number", seconds), help="sampling rate to test, 1/s"),
     ),
     ("classical", "aggregation-check"): Command(
         "Relations-per-element ratio is preserved through a restorable mapping.",
@@ -501,7 +490,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         arg("scenario", type=reader("search scenario", _search_scenario)),
         arg("--threshold", type=float, default=0.0),
         DISTANCE,
-        arg("--weights"),
+        WEIGHTS,
     ),
     ("physics",): Command(
         "Margolus-Levitin qubit counting for a single quantum, the "

@@ -21,7 +21,7 @@ from .errors import (
     MissingMeasureError,
     PartialRelationError,
 )
-from .model import InformationModel, require_valid, value_key
+from .model import InformationModel, is_finite_real, require_valid, value_key
 from .timeset import TimeSet, seconds
 
 
@@ -62,8 +62,8 @@ class DistanceSpec:
         if self.kind not in DISTANCE_KINDS:
             raise DistanceError(f"unknown distance kind {self.kind!r}")
         w = tuple(self.weights)
-        if len(w) != 6 or any(x < 0 for x in w) or not any(w):
-            raise DistanceError("weights must be six nonnegative values, not all zero")
+        if len(w) != 6 or not all(is_finite_real(x) and x >= 0 for x in w) or not any(w):
+            raise DistanceError("weights must be six finite, nonnegative values, not all zero")
         object.__setattr__(self, "weights", w)
 
 
@@ -173,19 +173,19 @@ def sampling_rate(model: InformationModel, gaps: Sequence[tuple] | None = None) 
 
 
 def _value_level_edges(model: InformationModel, rels: RelationSet) -> set:
-    keys = model.state_keys
+    states = model.states
     edges = set()
     for a, b, lab in rels.edges:
-        if not (0 <= a < len(keys) and 0 <= b < len(keys)):
+        if not (0 <= a < len(states) and 0 <= b < len(states)):
             raise PartialRelationError(f"edge ({a}, {b}, {lab!r}) references unknown states")
-        edges.add((keys[a], keys[b], lab))
+        edges.add((states[a], states[b], lab))
     return edges
 
 
 def aggregation(model: InformationModel, rels: RelationSet) -> Fraction:
     """Distinct labelled relations per distinct state value."""
     require_valid(model)
-    return Fraction(len(_value_level_edges(model, rels)), len(set(model.state_keys)))
+    return Fraction(len(_value_level_edges(model, rels)), len(set(model.states)))
 
 
 def coverage(model: InformationModel):
@@ -231,16 +231,15 @@ def _combine_entry_distances(dists, kind: str):
     return math.sqrt(math.fsum(float(d) * float(d) for d in dists))
 
 
-def _state_set_distance(left, right, lkeys: tuple, rkeys: tuple, kind: str):
-    """Distance between two entry lists with key tables `lkeys` and `rkeys`,
-    on their values.
+def _state_set_distance(left, right, kind: str):
+    """Distance between two entry lists, on their values.
 
     Aligned lists (equal length, pairwise comparable values) get the product
     metric of the chosen kind; unalignable lists fall back to the discrete
     0/1 distance on whole-set equality, which sits outside the metric-axiom
     domain and is only meant as a coarse signal.
     """
-    if lkeys == rkeys:
+    if left == right:
         return 0
     if len(left) != len(right):
         return 1
@@ -271,18 +270,10 @@ def mismatch(
     parts = [
         0 if model.noumena == target.noumena else 1,
         _timeset_distance(model.occurrence, target.occurrence),
-        _state_set_distance(
-            model.states, target.states, model.state_keys, target.state_keys, spec.kind
-        ),
+        _state_set_distance(model.states, target.states, spec.kind),
         0 if model.carriers == target.carriers else 1,
         _timeset_distance(model.reflection_time, target.reflection_time),
-        _state_set_distance(
-            model.reflections,
-            target.reflections,
-            model.reflection_keys,
-            target.reflection_keys,
-            spec.kind,
-        ),
+        _state_set_distance(model.reflections, target.reflections, spec.kind),
     ]
     return _exact_sum([wi * pi for wi, pi in zip(w, parts)])
 

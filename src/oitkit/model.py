@@ -5,13 +5,15 @@ elements, the time sets over which each side exists, the state entries of the
 noumena, the reflection entries of the carriers, and a total surjective
 mapping from state entries to reflection entries. Everything is an immutable
 value; operations are pure functions. Because a model cannot change, it
-validates itself once and builds its lookup tables once, on first use, and
-keeps them on the instance.
+validates itself and inverts its mapping once, on first use, and keeps both
+on the instance.
 
 State and reflection values come in three kinds: symbolic tokens (str),
-numeric scalars, and numeric vectors. Equality between entries is decided on
-the triple (subjects, time set, value), which is what restorability and the
-invariance checks quantify over.
+numeric scalars, and numeric vectors. A `StateEntry` and a `TimeSet` compare
+and hash by value, so equality between entries is decided on the triple
+(subjects, time set, value) by the entries themselves, which is what
+restorability, the invariance checks and chain junctions quantify over; no
+separate key tables are kept.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ Value = Union[str, int, float, Fraction, tuple]
 
 # int and float come first so the usual numbers skip the slower ABC check
 _NUMBER = (int, float, Real)
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite real number; ints and Fractions always are."""
+    return isinstance(value, Rational) or (isinstance(value, Real) and math.isfinite(value))
 
 
 def value_key(value) -> tuple:
@@ -76,7 +83,8 @@ class StateEntry:
         object.__setattr__(self, "value", value_key(value)[1])
 
     def key(self) -> tuple:
-        return (self.subjects, self.time.key(), value_key(self.value))
+        """The entry's identity as a tuple: equal entries have equal keys."""
+        return (self.subjects, self.time, value_key(self.value))
 
 
 @dataclass(frozen=True)
@@ -151,35 +159,23 @@ class InformationModel:
         return _check(self)
 
     @cached_property
-    def state_keys(self) -> tuple:
-        """`StateEntry.key()` of each state entry, by index."""
-        return tuple(e.key() for e in self.states)
-
-    @cached_property
-    def reflection_keys(self) -> tuple:
-        """`StateEntry.key()` of each reflection entry, by index."""
-        return tuple(e.key() for e in self.reflections)
-
-    @cached_property
     def _inverse(self) -> dict[int, int] | None:
         """Reflection index -> its first state index in mapping order, or
         None when the mapping is not injective on state values. Only
         meaningful for a valid model."""
-        owner: dict[tuple, tuple] = {}
+        owner: dict[StateEntry, StateEntry] = {}
         inverse: dict[int, int] = {}
         for s, r in self.mapping:
-            skey = self.state_keys[s]
-            if owner.setdefault(self.reflection_keys[r], skey) != skey:
+            state = self.states[s]
+            if owner.setdefault(self.reflections[r], state) != state:
                 return None
             inverse.setdefault(r, s)
         return inverse
 
-    def mapping_signature(self) -> tuple:
-        """Value-level content of the mapping, for equivalence comparisons."""
-        pairs = sorted(
-            (self.state_keys[s], self.reflection_keys[r]) for s, r in self.mapping
-        )
-        return tuple(pairs)
+    def mapping_signature(self) -> frozenset:
+        """Value-level content of the mapping, for equivalence comparisons:
+        the set of (state entry, reflection entry) pairs it relates."""
+        return frozenset((self.states[s], self.reflections[r]) for s, r in self.mapping)
 
 
 @dataclass(frozen=True)
@@ -216,9 +212,8 @@ def _check(model: InformationModel) -> ValidationReport:
     warn: list[Violation] = []
 
     def check_measure(value, rule: str, subject: str, negative: str):
-        """A measure must be a finite real number (ints and Fractions always
-        are), and nonnegative."""
-        if not (isinstance(value, Rational) or (isinstance(value, Real) and math.isfinite(value))):
+        """A measure must be a finite real number, and nonnegative."""
+        if not is_finite_real(value):
             bad.append(Violation(f"{rule}-numeric", f"{subject} is not a finite number"))
         elif value < 0:
             bad.append(Violation(f"{rule}-nonnegative", negative))
@@ -293,7 +288,7 @@ def _check(model: InformationModel) -> ValidationReport:
             subject = f"copy {i} {part}"
             check_measure(value, f"copy-{part}", subject, f"copy {i} has negative {part}")
 
-    if len(set(model.state_keys)) < len(model.states):
+    if len(set(model.states)) < len(model.states):
         warn.append(
             Violation(
                 "duplicate-state-values",
@@ -515,11 +510,11 @@ def compose_chain(chain: Sequence[InformationModel]) -> InformationModel:
             raise ChainMismatchError(
                 f"junction {i}: carriers of link {i} differ from noumena of link {i + 1}"
             )
-        if left.reflection_time.key() != right.occurrence.key():
+        if left.reflection_time != right.occurrence:
             raise ChainMismatchError(
                 f"junction {i}: reflection times of link {i} differ from occurrence times of link {i + 1}"
             )
-        if left.reflection_keys != right.state_keys:
+        if left.reflections != right.states:
             raise ChainMismatchError(
                 f"junction {i}: reflection entries of link {i} do not equal the state entries of link {i + 1}"
             )

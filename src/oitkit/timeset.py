@@ -208,10 +208,6 @@ class TimeSet:
             lo_t < p < hi_t for p in self.marks
         )
 
-    def key(self) -> tuple:
-        """Hashable canonical identity, used for value-level comparisons."""
-        return (self.spans, self.marks)
-
     def __repr__(self) -> str:
         return f"TimeSet(intervals={self.intervals!r}, points={self.points!r})"
 

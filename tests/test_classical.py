@@ -380,6 +380,7 @@ def test_sequential_asl():
     assert asl("sequential", 7) == 4
     assert asl("sequential", 1) == 1
     assert asl("sequential", 10) == Fraction(11, 2)
+    assert asl("sequential", 10**18) == Fraction(10**18 + 1, 2)
 
 
 def test_bisection_asl_closed_form_matches_bruteforce():

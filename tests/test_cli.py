@@ -447,6 +447,51 @@ def test_malformed_time_pairs_are_usage_errors_naming_the_flag(capsys, fixtures_
     assert err.startswith(f"error: {flag} is not a list of time pairs")
 
 
+def with_fixtures(fixtures_dir, argv):
+    """`argv` with "{penguin}" and "{search}" replaced by those fixture paths."""
+    paths = {"{penguin}": "penguin.json", "{search}": "golden/search.json"}
+    return [str(fixtures_dir / paths[arg]) if arg in paths else arg for arg in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, what",
+    [
+        (["classical", "nyquist", "--period", "abc"], "--period", "a time"),
+        (["classical", "nyquist", "--period", "1", "--rate", "x"], "--rate", "a number"),
+        (["classical", "chain-delay", "--delays", "a,b"], "--delays", "a list of times"),
+        (["classical", "entropy", "--probs", "x"], "--probs", "a list of numbers"),
+        (["metrics", "{penguin}", "--weights", "x"], "--weights", "a list of numbers"),
+        (
+            ["classical", "search", "{search}", "--weights", "1,x"],
+            "--weights",
+            "a list of numbers",
+        ),
+    ],
+)
+def test_malformed_numbers_and_times_are_usage_errors_naming_the_flag(
+    capsys, fixtures_dir, argv, flag, what
+):
+    code, out, err = run(capsys, *with_fixtures(fixtures_dir, argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} is not {what}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "{penguin}", "--target", "{penguin}", "--weights", "nan,1,1,1,1,1"],
+        ["metrics", "{penguin}", "--target", "{penguin}", "--weights", "inf,0,0,0,0,0"],
+        ["classical", "search", "{search}", "--weights", "nan,1,1,1,1,1"],
+    ],
+)
+def test_non_finite_weights_are_domain_errors(capsys, fixtures_dir, argv):
+    code, out, err = run(capsys, *with_fixtures(fixtures_dir, argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: weights must be six finite")
+
+
 def test_unknown_key_in_a_constants_file_is_a_usage_error(capsys, fixtures_dir):
     path = str(fixtures_dir / "penguin.json")
     code, out, err = run(capsys, "physics", "--constants", path, "universe")

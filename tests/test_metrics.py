@@ -380,6 +380,16 @@ def test_mismatch_time_component_is_sup_plus_inf_difference():
     assert mismatch(a, b) == 2
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(math.nan, 1, 1, 1, 1, 1), (math.inf, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, -math.inf)],
+    ids=repr,
+)
+def test_distance_weights_must_be_finite(weights):
+    with pytest.raises(DistanceError, match="finite"):
+        DistanceSpec(weights=weights)
+
+
 def test_mismatch_weights_scale_components():
     a = flat_model(["x"], reflection_time=TimeSet.span(10, 11))
     b = flat_model(["x"], reflection_time=TimeSet.span(10, 13))

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oitkit import model as model_module
 from oitkit.errors import ChainMismatchError, InvalidModelError, NotRestorableError, OverlapError, UnknownIndexError
@@ -518,6 +520,29 @@ def test_chain_associativity():
         assert delay(left) == delay(right)
 
 
+def test_mapping_signature_ignores_the_order_entries_are_listed_in():
+    # the subject sets {a} and {b} are not ordered by frozenset's `<` (the
+    # subset test), so sorting pairs of them cannot give one canonical order
+    T = TimeSet.span(0, 1)
+    states = [StateEntry(["a"], T, "x"), StateEntry(["b"], T, "x")]
+    reflections = [StateEntry(["c"], T, "y"), StateEntry(["d"], T, "y")]
+
+    def build(states, reflections):
+        return InformationModel(
+            noumena={"a", "b"},
+            carriers={"c", "d"},
+            occurrence=T,
+            reflection_time=T,
+            states=states,
+            reflections=reflections,
+            mapping=[(0, 0), (1, 1)],
+        )
+
+    first, second = build(states, reflections), build(states[::-1], reflections[::-1])
+    assert validate(first).ok and validate(second).ok
+    assert first.mapping_signature() == second.mapping_signature()
+
+
 def test_chain_mismatch_names_the_junction(chain3):
     with pytest.raises(ChainMismatchError, match="junction 0"):
         compose_chain([chain3[0], chain3[2]])
@@ -608,3 +633,55 @@ def test_replace_recomputes_the_report_and_indexes():
     merged = dataclasses.replace(m, reflections=[StateEntry(["c"], T2, "r")] * 2)
     assert validate(merged).ok and not is_restorable(merged)
     assert validate(m).ok and is_restorable(m)
+
+
+# Each row is one subject set, time or value, spelled several ways: entries
+# built from the same rows are equal, and entries built from different rows
+# are not.
+SUBJECT_FORMS = [(["a"], ("a",), {"a"}), (["a", "b"], ("b", "a"))]
+TIME_FORMS = [
+    (0, "0", "0.000", 0.0, -0.0, Fraction(0)),
+    ("0.5", 0.5, Fraction(1, 2), "0.500000000"),
+    (1, "1", "1.0", 1.0, Fraction(2, 2)),
+]
+VALUE_FORMS = [
+    ("1",),
+    ("x",),
+    (1, 1.0, True, Fraction(1)),
+    (0, 0.0, -0.0, False),
+    (0.5, Fraction(1, 2)),
+    ([1, 0], (1, 0), [1.0, -0.0], (True, False)),
+    ([], ()),
+]
+
+
+@st.composite
+def entry_pairs(draw):
+    """Two entries, spelled independently, and whether they were built from
+    the same rows."""
+
+    def row(forms):
+        return draw(st.integers(0, len(forms) - 1))
+
+    def rows():
+        lo, hi = sorted((row(TIME_FORMS), row(TIME_FORMS)))
+        return row(SUBJECT_FORMS), lo, hi, row(VALUE_FORMS)
+
+    def build(subjects, lo, hi, value):
+        def spell(forms):
+            return draw(st.sampled_from(forms))
+
+        time = TimeSet(intervals=[(spell(TIME_FORMS[lo]), spell(TIME_FORMS[hi]))])
+        return StateEntry(spell(SUBJECT_FORMS[subjects]), time, spell(VALUE_FORMS[value]))
+
+    first = rows()
+    second = first if draw(st.booleans()) else rows()
+    return build(*first), build(*second), first == second
+
+
+@given(entry_pairs())
+def test_entry_equality_is_key_equality(pair):
+    e, f, same = pair
+    assert (e == f) == (e.key() == f.key()) == same
+    if e == f:
+        assert hash(e) == hash(f)
