@@ -4,6 +4,10 @@ A model file is a JSON document with the keys noumena, carriers, occurrence,
 reflection, states, reflections, mapping, copies, measures, enabled. Time
 coordinates are written as decimal strings ("12.010") so they survive the
 round trip exactly; plain numbers are accepted on input.
+
+Reports leave through `to_json_text`, which writes every JSON report, model
+file and golden fixture in one pass. `json_ready` turns a report into plain
+JSON values for the text view of the CLI (`--format text`).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -138,9 +143,11 @@ def json_ready(obj: Any) -> Any:
     """Recursively convert report values into JSON-encodable ones.
 
     Fractions become exact decimal strings, numpy arrays become nested
-    lists, and tuples become lists; everything else passes through. A numpy
-    value can only exist once numpy is loaded, so its branches look numpy up
-    in `sys.modules` rather than importing it.
+    lists, and tuples become lists; everything else passes through. The CLI
+    uses it for the text view of a report; `to_json_text` writes the same
+    conversions straight to JSON text. A numpy value can only exist once
+    numpy is loaded, so its branches look numpy up in `sys.modules` rather
+    than importing it.
     """
     if isinstance(obj, Fraction):
         return seconds_str(obj)
@@ -160,5 +167,142 @@ def json_ready(obj: Any) -> Any:
 
 
 def to_json_text(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, stable separators, no trailing space."""
-    return json.dumps(json_ready(obj), sort_keys=True, indent=2)
+    """Deterministic JSON text of a report: sorted keys, two-space indent,
+    ASCII escapes, no trailing space.
+
+    The bytes are those of ``json.dumps(json_ready(obj), sort_keys=True,
+    indent=2)``, written in one walk over `obj` without the intermediate
+    copy, and it raises `TypeError` where that expression does. Every JSON
+    report of the CLI, the model files of `regen_fixtures.py` and the golden
+    reports go through it.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n", _READY)
+    return "".join(out)
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it, non-finite values included."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _fraction_text(f: Fraction) -> str:
+    return _quote(seconds_str(f))
+
+
+# Exact leaf types and their text. _PLAIN is json's own encoding; _READY adds
+# json_ready's conversion of Fractions and is the mode of a report's values.
+# The table a value is written with is the mode its subtree is in.
+_PLAIN = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_READY = {**_PLAIN, Fraction: _fraction_text}
+
+
+def _write(o: Any, out: list[str], nl: str, leaves: dict) -> None:
+    """Append the text of `o` at the indent `nl` (a newline and its spaces).
+
+    In _READY mode `o` gets json_ready's conversions. A frozenset's sorted
+    items and a numpy scalar's `item()` are then written as json writes
+    them, in _PLAIN mode, because json_ready does not convert them further.
+    """
+    leaf = leaves.get(type(o))
+    if leaf is not None:
+        out.append(leaf(o))
+        return
+    if leaves is _READY:
+        if isinstance(o, dict):
+            # str(k) may make two keys equal; the later value wins, as in json_ready
+            _pairs(sorted({str(k): v for k, v in o.items()}.items()), out, nl, leaves)
+        elif isinstance(o, (list, tuple)):
+            _items(o, out, nl, leaves)
+        elif isinstance(o, Fraction):
+            out.append(_fraction_text(o))
+        elif isinstance(o, frozenset):
+            _items(sorted(o), out, nl, _PLAIN)
+        else:
+            np = sys.modules.get("numpy")
+            if np is not None and isinstance(o, np.ndarray):
+                _write(o.tolist(), out, nl, leaves)
+            elif np is not None and isinstance(o, np.generic):
+                _write(o.item(), out, nl, _PLAIN)
+            else:
+                _write(o, out, nl, _PLAIN)
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        _items(o, out, nl, leaves)
+    elif isinstance(o, dict):
+        _pairs([(_plain_key(k), v) for k, v in sorted(o.items())], out, nl, leaves)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _plain_key(k: Any) -> str:
+    """A dict key as json turns it into a string."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is True or k is False or k is None:
+        return _PLAIN[type(k)](k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _items(values, out: list[str], nl: str, leaves: dict) -> None:
+    if not values:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for v in values:
+        out.append(sep)
+        sep = "," + inner
+        t = type(v)
+        leaf = leaves.get(t)
+        if leaf is not None:
+            out.append(leaf(v))
+        elif t is list:
+            _items(v, out, inner, leaves)
+        else:
+            _write(v, out, inner, leaves)
+    out.append(nl + "]")
+
+
+def _pairs(pairs, out: list[str], nl: str, leaves: dict) -> None:
+    if not pairs:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for k, v in pairs:
+        out.append(sep + _quote(k) + ": ")
+        sep = "," + inner
+        t = type(v)
+        leaf = leaves.get(t)
+        if leaf is not None:
+            out.append(leaf(v))
+        elif t is list:
+            _items(v, out, inner, leaves)
+        else:
+            _write(v, out, inner, leaves)
+    out.append(nl + "}")

@@ -10,15 +10,15 @@ convenience and go through their shortest decimal repr, so ``0.01`` means
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral, Rational
 from operator import itemgetter
 from typing import Iterable, Union
 
-TimeLike = Union[int, str, float, Fraction, Decimal]
+TimeLike = Union[int, str, float, Fraction]
 Tick = Union[int, Fraction]  # nanoseconds: an int whenever the value is whole
 
 NS = 10**9  # ticks per second
@@ -30,8 +30,6 @@ def seconds(value: TimeLike) -> Fraction:
         return value
     if isinstance(value, Integral):
         return Fraction(int(value))
-    if isinstance(value, Decimal):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, float):
@@ -70,10 +68,15 @@ def seconds_str(value: Rational) -> str:
     """
     frac = Fraction(value)
     den = frac.denominator
-    # 10**k is a multiple of den = 2**a * 5**b first at k = max(a, b) <= log2(den)
-    digits = next((k for k in range(den.bit_length()) if 10**k % den == 0), None)
-    if digits is None:
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    # if odd is a power of 5, its exponent is this log rounded: the float
+    # error is far below 1/2
+    fives = round(math.log(odd, 5))
+    if 5**fives != odd:
         return f"{frac.numerator}/{den}"
+    # 10**k is a multiple of den = 2**twos * 5**fives first at k = max(twos, fives)
+    digits = max(twos, fives)
     return _decimal(frac.numerator * 10**digits // den, digits)
 
 

@@ -2,14 +2,23 @@
 
 Each oracle takes a deliberately different route from the code under test:
 brute-force enumeration, explicit joint-Gaussian conditioning, root finding,
-or direct simulation.
+direct simulation, or the standard library's own encoder.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
+
+from oitkit.io import json_ready
+
+
+def json_text_oracle(obj) -> str:
+    """Report text as `json` writes it from `json_ready`'s plain copy; the
+    bytes `to_json_text` must produce."""
+    return json.dumps(json_ready(obj), sort_keys=True, indent=2)
 
 
 def restorable_bruteforce(model) -> bool:

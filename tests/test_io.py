@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oitkit.io import (
     json_ready,
@@ -17,6 +20,7 @@ from oitkit.model import validate
 from oitkit.scenarios import penguin_model
 
 from generate import random_chain, random_restorable_model
+from oracles import json_text_oracle
 
 
 def test_penguin_roundtrip_is_lossless(penguin):
@@ -90,3 +94,64 @@ def test_json_ready_conversions():
         "ids": ["a", "b"],
     }
     json.dumps(doc)  # everything is JSON-encodable
+
+
+_fractions = st.one_of(
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from([1, 2, 8, 10, 125, 1000])),
+    st.fractions(),
+)
+_floats = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300])
+)
+_strings = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "é€😀", "\ud800", "a/b"])
+)
+_ints = st.one_of(st.booleans(), st.integers(), st.integers(10**20, 10**40).map(lambda n: -n))
+_numpy = st.one_of(
+    st.lists(_floats, max_size=4).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array),
+    st.lists(_fractions, max_size=3).map(lambda xs: np.array(xs, dtype=object)),
+    _floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(max_size=4).map(np.str_),
+)
+# str() of these keys collides: 1 and "1", True and "True", None and "None",
+# Fraction(1, 2) and "1/2"
+_keys = st.one_of(
+    st.sampled_from(["1", 1, True, "True", None, "None", Fraction(1, 2), "1/2", "", "a"]),
+    _strings,
+    st.integers(),
+    _fractions,
+)
+_report_values = st.recursive(
+    st.one_of(
+        st.none(), _strings, _ints, _floats, _fractions, st.frozensets(st.text(max_size=3)), _numpy
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.lists(st.tuples(_keys, kids), max_size=5).map(dict),
+    ),
+    max_leaves=12,
+)
+# each of these makes json.dumps(json_ready(...)) raise TypeError
+_unwritable = st.sampled_from([{1, 2}, object(), frozenset({Fraction(1, 3)}), b"x", 1j])
+
+
+def _beside(kept, bad, in_dict):
+    return {"kept": kept, "bad": [bad]} if in_dict else [kept, bad]
+
+
+@given(st.one_of(_report_values, st.builds(_beside, _report_values, _unwritable, st.booleans())))
+@example([{1: "i", "1": "s"}, {"True": 0, True: "b"}, {None: 1, "None": 2}, {Fraction(1, 2): 1, "1/2": 2}])
+@example([-0.0, float("nan"), float("inf"), float("-inf"), 1e300, np.float64("nan"), np.int64(-3)])
+@example((frozenset("bé"), np.array([[1.5, -0.0]]), np.bool_(True), Fraction(1, 3), Fraction(-1, 8)))
+def test_json_text_matches_the_json_module(x):
+    try:
+        expected = json_text_oracle(x)
+    except TypeError:
+        with pytest.raises(TypeError):
+            to_json_text(x)
+    else:
+        assert to_json_text(x) == expected

@@ -276,6 +276,32 @@ def test_sampling_rate_explicit_gaps_must_avoid_occurrence():
         sampling_rate(flat_model(["a"], occurrence=TimeSet.span(0, 1)))
 
 
+_HOLES = TimeSet(intervals=[(0, 1), (2, 3), (4, 5)])  # gaps (1, 2) and (3, 4)
+
+
+@pytest.mark.parametrize(
+    "occurrence, gaps, message",
+    [
+        (_HOLES, [("1.5", "1.5")], "gap (3/2, 3/2) has no width"),
+        (_HOLES, [(3, 4), (2, 1)], "gap (2, 1) has no width"),
+        (_HOLES, [(-1, "0.5")], "gap (-1, 1/2) leaves [inf, sup] of the occurrence set"),
+        (_HOLES, [(3, 4), ("4.5", 6)], "gap (9/2, 6) leaves [inf, sup] of the occurrence set"),
+        (_HOLES, [("0.5", 2)], "gap (1/2, 2) overlaps the occurrence times"),
+        (_HOLES, [(1, 2), (3, "3.5"), (2, 3)], "gap (2, 3) overlaps the occurrence times"),
+        # the earlier gap named is the first one it meets in input order
+        (_HOLES, [("1.5", 2), (3, 4), (1, "1.25"), (1, 2)], "gap (1, 2) overlaps gap (3/2, 2)"),
+        (_HOLES, [(1, "1.25"), ("1.5", 2), ("1.25", "1.75")], "gap (5/4, 7/4) overlaps gap (3/2, 2)"),
+        (TimeSet.span(0, 1), None, "occurrence set has no gaps to sample over"),
+        (_HOLES, [], "occurrence set has no gaps to sample over"),
+    ],
+)
+def test_sampling_rate_gap_errors_name_the_gap(occurrence, gaps, message):
+    m = flat_model(["a"], occurrence=occurrence)
+    with pytest.raises(GapError) as err:
+        sampling_rate(m, gaps)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------- aggregation
 
 def test_aggregation_examples():

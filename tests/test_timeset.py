@@ -1,6 +1,8 @@
 import copy
 import pickle
 import re
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -58,6 +60,23 @@ def test_seconds_str_is_exact_and_minimal(n, twos, fives, other):
     else:
         assert re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?", text)
         assert Fraction(text) == v
+
+
+def test_seconds_str_digit_count_does_not_search():
+    value = Fraction(1, 2 * 10**8000)
+    start = time.perf_counter()
+    text = seconds_str(value)
+    elapsed = time.perf_counter() - start
+    assert text == "0." + "0" * 8000 + "5"
+    assert elapsed < 0.1  # a search over 10**k, k = 0, 1, ..., takes about 0.4 s
+
+
+@pytest.mark.parametrize("value", [Decimal("1.5"), [1], None, 1j])
+def test_unsupported_time_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        seconds(value)
+    with pytest.raises(TypeError):
+        TimeSet(points=[value])
 
 
 def test_merges_overlapping_and_touching_intervals():
