@@ -12,34 +12,30 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
+
+import oitkit
 
 from .errors import (
     NotRestorableError,
     PartialRelationError,
     SearchError,
     SingularInnovationError,
+    require_finite,
 )
-from .metrics import (
-    DistanceSpec,
-    EquivalenceRelation,
-    RelationSet,
-    _state_labels,
-    aggregation,
-    coverage,
-    mismatch,
-    scope,
-)
-from .model import InformationModel, is_restorable
-from .physics import _require_finite
 from .timeset import seconds
 
-# numpy is imported inside the Kalman code that uses it, so importing oitkit
-# (and every CLI verb but `classical kalman`) does not pay for loading it.
+# numpy is imported inside the Kalman code that uses it, and `metrics` and
+# `model` are reached through the package (`oitkit.metrics`), which imports
+# them on first access (PEP 562). So only `classical kalman` loads numpy, and
+# the scalar calculators load no model code.
 if TYPE_CHECKING:
     import numpy as np
+
+    from .metrics import DistanceSpec, EquivalenceRelation, RelationSet
+    from .model import InformationModel
 
 
 def shannon_min_volume(probabilities: Sequence[float]) -> float:
@@ -48,7 +44,7 @@ def shannon_min_volume(probabilities: Sequence[float]) -> float:
     Zero probabilities contribute nothing (the usual limit convention).
     """
     p = [float(x) for x in probabilities]
-    _require_finite(**{f"probabilities[{i}]": x for i, x in enumerate(p)})
+    require_finite(**{f"probabilities[{i}]": x for i, x in enumerate(p)})
     if any(x < 0 for x in p):
         raise ValueError("probabilities must be nonnegative")
     if abs(math.fsum(p) - 1.0) > 1e-12:
@@ -80,7 +76,7 @@ def radar_max_range(
         "min_detectable_signal": min_detectable_signal,
         "reflection_area": reflection_area,
     }
-    _require_finite(**values)
+    require_finite(**values)
     if any(v <= 0 for v in values.values()):
         raise ValueError("all radar equation inputs must be positive")
     numerator = transmit_power * antenna_gain * effective_aperture * reflection_area
@@ -91,7 +87,7 @@ def rayleigh_granularity(wavelength, aperture_width):
     """Minimum resolvable angle of an imaging system: wavelength over
     aperture width. Equals the granularity of imaging information whose
     atoms (pixels) all carry that angle as their noumenon measure."""
-    _require_finite(wavelength=wavelength, aperture_width=aperture_width)
+    require_finite(wavelength=wavelength, aperture_width=aperture_width)
     if wavelength <= 0 or aperture_width <= 0:
         raise ValueError("wavelength and aperture width must be positive")
     return wavelength / aperture_width
@@ -105,7 +101,7 @@ class InvarianceResult:
 
 
 def _require_restorable(model: InformationModel) -> None:
-    if not is_restorable(model):
+    if not oitkit.model.is_restorable(model):
         raise NotRestorableError("check only applies to restorable models")
 
 
@@ -115,7 +111,7 @@ def variety_invariance_check(
     """Transport an equivalence relation through the mapping and compare
     class counts on both sides; they agree for every restorable model."""
     _require_restorable(model)
-    labels = _state_labels(model, relation)
+    labels = oitkit.metrics._state_labels(model, relation)
     label_of_state: dict = {}
     for state, lab in zip(model.states, labels):
         if label_of_state.setdefault(state, lab) != lab:
@@ -136,7 +132,7 @@ def aggregation_invariance_check(
     """Transport labelled relations through the mapping and compare the
     relations-per-element ratios on both sides."""
     _require_restorable(model)
-    ratio_states = aggregation(model, rels)
+    ratio_states = oitkit.metrics.aggregation(model, rels)
     to_reflection = dict(model.mapping)
     refl = model.reflections
     transported = {
@@ -196,7 +192,7 @@ def network_value_check(model: InformationModel, nodes: int | None = None) -> Ne
     """Compare n² against max scope × max coverage on a network model whose
     node-count measures are assigned."""
     n = len(model.carriers) if nodes is None else int(nodes)
-    product = scope(model) * coverage(model)
+    product = oitkit.metrics.scope(model) * oitkit.metrics.coverage(model)
     value = metcalfe_value(n)
     return NetworkValueResult(n, value, product, value == product)
 
@@ -384,6 +380,10 @@ def asl(algorithm: str, n: int, probabilities: Sequence | None = None) -> Fracti
     return sum(p * c for p, c in zip(probs, costs))
 
 
+def _default_distance() -> DistanceSpec:
+    return oitkit.metrics.DistanceSpec()
+
+
 @dataclass(frozen=True)
 class SearchSetup:
     """A minimum-mismatch lookup over candidate models.
@@ -394,7 +394,7 @@ class SearchSetup:
 
     candidates: tuple
     target: InformationModel
-    spec: DistanceSpec = DistanceSpec()
+    spec: DistanceSpec = field(default_factory=_default_distance)
     threshold: object = 0
     algorithm: str = "sequential"
     order_keys: tuple | None = None
@@ -450,7 +450,7 @@ def search_min_mismatch(setup: SearchSetup) -> SearchResult:
     best_value = None
     comparisons = 0
     for i in _visit_order(setup):
-        value = mismatch(setup.candidates[i], setup.target, setup.spec)
+        value = oitkit.metrics.mismatch(setup.candidates[i], setup.target, setup.spec)
         comparisons += 1
         if value <= setup.threshold:
             return SearchResult(i, comparisons, value)

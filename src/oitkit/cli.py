@@ -11,6 +11,12 @@ document. Every file argument is read by `read_file`. Exit codes: 0 success,
 also any report whose `valid` field is false), 2 usage error (unknown flags; a
 flag value that does not parse; a file that is missing, unparseable, or of the
 wrong shape).
+
+Of the other oitkit modules, only `errors` and `io` (with the `timeset` it
+uses), which every report goes through, are imported with this one. The rest
+are reached through the package, as `oitkit.metrics` and so on, which imports
+a module on first access (PEP 562); so a verb loads only the modules its row
+uses.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Any, Callable
 
-from . import classical, metrics, physics, scenarios
+import oitkit
+
 from .errors import OitError
 from .io import (
     chain_from_json,
@@ -31,7 +37,6 @@ from .io import (
     model_to_json,
     to_json_text,
 )
-from .model import compose_chain, is_restorable, restore, validate, value_key
 from .timeset import seconds
 
 USAGE_EXIT = 2
@@ -45,9 +50,10 @@ class UsageError(Exception):
 def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
     """Parse the JSON file at `path` and turn it into a value with `convert`.
 
-    A missing or unreadable file, unparseable JSON, and a document that
-    `convert` rejects for its shape or a missing field are usage errors that
-    name the file; `kind` says what the file should have held.
+    A missing or unreadable file, unparseable JSON (nested too deep
+    included), and a document that `convert` rejects for its shape or a
+    missing field are usage errors that name the file; `kind` says what the
+    file should have held.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -56,13 +62,13 @@ def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
         raise UsageError(f"file not found: {path}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
     try:
         return convert(doc)
     except KeyError as exc:
         raise UsageError(f"{path} is not a {kind} file: missing field {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} is not a {kind} file: {exc}") from exc
 
 
@@ -75,7 +81,7 @@ def inline_value(text: str) -> Any:
     """A state value given inline as JSON: a string, a number or an array of
     numbers."""
     value = json.loads(text)
-    value_key(value)
+    oitkit.model.value_key(value)
     return value
 
 
@@ -97,18 +103,19 @@ def listed(parse: Callable[[str], Any]) -> Callable[[str], list]:
     return lambda text: [parse(part) for part in text.replace(",", " ").split()]
 
 
-def _parse_constants(value: str) -> physics.PhysicalConstants:
-    if value in physics.PROFILES:
-        return physics.profile(value)
+def _parse_constants(value: str) -> oitkit.physics.PhysicalConstants:
+    if value in oitkit.physics.PROFILES:
+        return oitkit.physics.profile(value)
     return read_file(
         value,
         "constants",
-        lambda doc: physics.constants_from_dict(doc, name=doc.get("name", "custom")),
+        lambda doc: oitkit.physics.constants_from_dict(doc, name=doc.get("name", "custom")),
     )
 
 
-def _distance_spec(args) -> metrics.DistanceSpec:
-    return metrics.DistanceSpec(kind=args.distance, weights=args.weights or (1, 1, 1, 1, 1, 1))
+def _distance_spec(args) -> oitkit.metrics.DistanceSpec:
+    weights = args.weights or (1, 1, 1, 1, 1, 1)
+    return oitkit.metrics.DistanceSpec(kind=args.distance, weights=weights)
 
 
 def render_text(doc, indent: int = 0) -> str:
@@ -134,7 +141,8 @@ def emit(report: dict, args) -> None:
     text = to_json_text(report) if args.format == "json" else render_text(json_ready(report))
     if args.output:
         try:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
@@ -146,19 +154,19 @@ def _violations(found) -> list[dict]:
 
 
 def run_validate(args) -> dict:
-    report = validate(args.model)
+    report = oitkit.model.validate(args.model)
     doc = {
         "valid": report.ok,
         "violations": _violations(report.violations),
         "warnings": _violations(report.warnings),
     }
     if report.ok:
-        doc["restorable"] = is_restorable(args.model)
+        doc["restorable"] = oitkit.model.is_restorable(args.model)
     return doc
 
 
 def run_metrics(args) -> dict:
-    return metrics.metric_report(
+    return oitkit.metrics.metric_report(
         args.model,
         relation=args.relation,
         relations=args.edges,
@@ -171,57 +179,60 @@ def run_metrics(args) -> dict:
 
 
 def run_restore(args) -> dict:
-    entry = restore(args.model, args.index)
+    entry = oitkit.model.restore(args.model, args.index)
     return {"reflection_index": args.index, "restored_state": entry_to_json(entry)}
 
 
 def run_chain(args) -> dict:
-    composed = compose_chain(args.chain)
+    composed = oitkit.model.compose_chain(args.chain)
     return {
         "links": len(args.chain),
-        "delay_s": metrics.delay(composed),
-        "link_delays_s": [metrics.delay(link) for link in args.chain],
+        "delay_s": oitkit.metrics.delay(composed),
+        "link_delays_s": [oitkit.metrics.delay(link) for link in args.chain],
         "model": model_to_json(composed),
     }
 
 
 def run_demo(args) -> dict:
+    from . import scenarios
+
     penguin = scenarios.penguin_model()
     penguin_doc = {
-        "valid": validate(penguin).ok,
-        "restorable": is_restorable(penguin),
-        "volume_bits": metrics.volume(penguin),
+        "valid": oitkit.model.validate(penguin).ok,
+        "restorable": oitkit.model.is_restorable(penguin),
+        "volume_bits": oitkit.metrics.volume(penguin),
         "volume_note": "1 MB at 2^20 bytes/MB is 8388608 bits",
-        "delay_s": metrics.delay(penguin),
-        "duration_s": metrics.duration(penguin),
-        "scope": metrics.scope(penguin),
-        "coverage": metrics.coverage(penguin),
-        "restored_value": restore(penguin, 0).value,
+        "delay_s": oitkit.metrics.delay(penguin),
+        "duration_s": oitkit.metrics.duration(penguin),
+        "scope": oitkit.metrics.scope(penguin),
+        "coverage": oitkit.metrics.coverage(penguin),
+        "restored_value": oitkit.model.restore(penguin, 0).value,
     }
     return {
         "penguin": penguin_doc,
-        "universe": physics.universe_info(args.constants),
-        "unit_mass_rate": physics.qubits_per_kg_second(args.constants),
+        "universe": oitkit.physics.universe_info(args.constants),
+        "unit_mass_rate": oitkit.physics.qubits_per_kg_second(args.constants),
     }
 
 
 def run_entropy(args) -> dict:
-    return {"entropy_bits": classical.shannon_min_volume(args.probs), "probabilities": args.probs}
+    entropy = oitkit.classical.shannon_min_volume(args.probs)
+    return {"entropy_bits": entropy, "probabilities": args.probs}
 
 
 def run_chain_delay(args) -> dict:
-    return {"total_delay_s": classical.serial_chain_delay(args.delays)}
+    return {"total_delay_s": oitkit.classical.serial_chain_delay(args.delays)}
 
 
 def run_radar(args) -> dict:
-    rng = classical.radar_max_range(
+    rng = oitkit.classical.radar_max_range(
         args.power, args.gain, args.aperture, args.min_signal, args.sigma
     )
     return {"max_range_m": rng, "scope_sigma_m2": args.sigma}
 
 
 def run_variety_check(args) -> dict:
-    result = classical.variety_invariance_check(args.model, args.relation)
+    result = oitkit.classical.variety_invariance_check(args.model, args.relation)
     return {
         "state_classes": result.state_side,
         "reflection_classes": result.reflection_side,
@@ -230,15 +241,15 @@ def run_variety_check(args) -> dict:
 
 
 def run_nyquist(args) -> dict:
-    doc = {"min_rate_hz": classical.nyquist_min_rate(args.period)}
+    doc = {"min_rate_hz": oitkit.classical.nyquist_min_rate(args.period)}
     if args.rate is not None:
         doc["rate_hz"] = args.rate
-        doc["restorable"] = classical.nyquist_restorable(args.rate, args.period)
+        doc["restorable"] = oitkit.classical.nyquist_restorable(args.rate, args.period)
     return doc
 
 
 def run_aggregation_check(args) -> dict:
-    result = classical.aggregation_invariance_check(args.model, args.edges)
+    result = oitkit.classical.aggregation_invariance_check(args.model, args.edges)
     return {
         "state_ratio": result.state_side,
         "reflection_ratio": result.reflection_side,
@@ -247,9 +258,9 @@ def run_aggregation_check(args) -> dict:
 
 
 def run_metcalfe(args) -> dict:
-    doc = {"nodes": args.nodes, "value": classical.metcalfe_value(args.nodes)}
+    doc = {"nodes": args.nodes, "value": oitkit.classical.metcalfe_value(args.nodes)}
     if args.model is not None:
-        result = classical.network_value_check(args.model, args.nodes)
+        result = oitkit.classical.network_value_check(args.model, args.nodes)
         doc["scope_times_coverage"] = result.scope_times_coverage
         doc["equal"] = result.equal
     return doc
@@ -257,12 +268,12 @@ def run_metcalfe(args) -> dict:
 
 def _kalman_scenario(doc: dict):
     matrices = {key: doc[key] for key in ("A", "H", "Q", "R", "x0", "P0")}
-    return classical.LinearSystemSpec(**matrices, B=doc.get("B")), doc["z"], doc.get("U")
+    return oitkit.classical.LinearSystemSpec(**matrices, B=doc.get("B")), doc["z"], doc.get("U")
 
 
 def run_kalman(args) -> dict:
     system, measurements, inputs = args.scenario
-    steps = classical.kalman_filter(system, measurements, inputs)
+    steps = oitkit.classical.kalman_filter(system, measurements, inputs)
     return {
         "steps": [
             {"step": k + 1, "x": s.x, "P": s.P, "gain": s.gain} for k, s in enumerate(steps)
@@ -271,7 +282,7 @@ def run_kalman(args) -> dict:
 
 
 def run_asl(args) -> dict:
-    value = classical.asl(args.algorithm, args.n)
+    value = oitkit.classical.asl(args.algorithm, args.n)
     return {"algorithm": args.algorithm, "n": args.n, "asl": value}
 
 
@@ -285,15 +296,15 @@ def _search_scenario(doc: dict) -> dict:
 
 
 def run_search(args) -> dict:
-    setup = classical.SearchSetup(
+    setup = oitkit.classical.SearchSetup(
         **args.scenario, spec=_distance_spec(args), threshold=args.threshold
     )
-    result = classical.search_min_mismatch(setup)
+    result = oitkit.classical.search_min_mismatch(setup)
     return {"index": result.index, "comparisons": result.comparisons, "mismatch": result.mismatch}
 
 
 def run_quantum(args) -> dict:
-    qv = physics.quantum_volume(args.energy, args.time, args.constants)
+    qv = oitkit.physics.quantum_volume(args.energy, args.time, args.constants)
     return {
         "exact_qubits": qv.exact,
         "asymptotic_qubits": qv.asymptotic,
@@ -304,16 +315,16 @@ def run_quantum(args) -> dict:
 
 
 def run_carrier(args) -> dict:
-    spec = physics.CarrierSpec(args.mass, args.radiation, args.count, args.time)
-    return physics.carrier_volume(spec, args.regime, args.constants)
+    spec = oitkit.physics.CarrierSpec(args.mass, args.radiation, args.count, args.time)
+    return oitkit.physics.carrier_volume(spec, args.regime, args.constants)
 
 
 def run_bitmass(args) -> dict:
     consts = args.constants
     return {
         "temperature_K": args.temperature,
-        "min_bit_mass_kg": physics.min_bit_mass(args.temperature, consts),
-        "bits_per_kg": physics.bits_per_kg(args.temperature, consts),
+        "min_bit_mass_kg": oitkit.physics.min_bit_mass(args.temperature, consts),
+        "bits_per_kg": oitkit.physics.bits_per_kg(args.temperature, consts),
         "note": "classical equilibrium memory only; not for quantum carriers",
         "profile": consts.name,
     }
@@ -336,14 +347,15 @@ def arg(*flags: str, **options) -> tuple:
 
 def flag_arg(flag: str, kind: tuple[str, Callable[[str], Any]], **options) -> tuple:
     """The spec of a flag whose text holds `kind`: what it should be, and the
-    function that parses it. A `TypeError` or `ValueError` from that function
-    is a usage error naming the flag."""
+    function that parses it. A `TypeError` or `ValueError` from that function,
+    or a `RecursionError` from a value nested too deep, is a usage error
+    naming the flag."""
     what, parse = kind
 
     def convert(text: str) -> Any:
         try:
             return parse(text)
-        except (TypeError, ValueError) as exc:
+        except (RecursionError, TypeError, ValueError) as exc:
             raise UsageError(f"{flag} is not {what}: {exc}") from exc
 
     return arg(flag, type=convert, **options)
@@ -354,16 +366,21 @@ TIME_PAIRS = ("a list of time pairs", time_pairs)
 NUMBERS = ("a list of numbers", listed(float))
 TIMES = ("a list of times", listed(seconds))
 MODEL_FILE = reader("model", model_from_json)
-LABELS_FILE = reader("relation", lambda doc: metrics.EquivalenceRelation(doc["labels"]))
-EDGES_FILE = reader("edges", lambda doc: metrics.RelationSet(doc["edges"]))
+LABELS_FILE = reader("relation", lambda doc: oitkit.metrics.EquivalenceRelation(doc["labels"]))
+EDGES_FILE = reader("edges", lambda doc: oitkit.metrics.RelationSet(doc["edges"]))
 MODEL = arg("model", type=MODEL_FILE)
+# argparse passes a string default through `type`, so "paper" becomes the
+# paper profile without importing `physics` to build the table.
 CONSTANTS = arg(
     "--constants",
     type=_parse_constants,
-    default=physics.PAPER,
+    default="paper",
     help="constants profile: 'paper', 'codata', or a JSON file",
 )
-DISTANCE = arg("--distance", choices=metrics.DISTANCE_KINDS, default="L2")
+# these equal metrics.DISTANCE_KINDS and physics.REGIMES, which a test checks
+DISTANCE_KINDS = ("discrete", "L1", "L2", "Linf")
+REGIMES = ("long", "instant")
+DISTANCE = arg("--distance", choices=DISTANCE_KINDS, default="L2")
 WEIGHTS = flag_arg("--weights", NUMBERS, help="six component weights, e.g. '1,1,1,1,1,1'")
 
 COMMANDS: dict[tuple[str, ...], Command] = {
@@ -438,7 +455,9 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ("classical", "rayleigh"): Command(
         "Rayleigh criterion: wavelength / aperture width.",
         lambda args: {
-            "granularity_rad": classical.rayleigh_granularity(args.wavelength, args.aperture)
+            "granularity_rad": oitkit.classical.rayleigh_granularity(
+                args.wavelength, args.aperture
+            )
         },
         arg("--wavelength", type=float, required=True, help="m"),
         arg("--aperture", type=float, required=True, help="m"),
@@ -451,7 +470,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ),
     ("classical", "mtbf"): Command(
         "Mean duration over monitoring sessions.",
-        lambda args: {"mean_duration_s": classical.mtbf_duration(args.sessions)},
+        lambda args: {"mean_duration_s": oitkit.classical.mtbf_duration(args.sessions)},
         flag_arg("--sessions", TIME_PAIRS, required=True, help="JSON [[sup, inf], ...]"),
     ),
     ("classical", "nyquist"): Command(
@@ -513,7 +532,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         arg("--radiation", type=float, default=0.0, help="J"),
         arg("--count", type=float, default=0.0, help="number of quanta"),
         arg("--time", type=float, default=0.0, help="window length, s"),
-        arg("--regime", choices=physics.REGIMES, required=True),
+        arg("--regime", choices=REGIMES, required=True),
     ),
     ("physics", "bitmass"): Command(
         "Thermodynamic minimum mass per bit and bits per kg.",
@@ -522,11 +541,11 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ),
     ("physics", "qubit-rate"): Command(
         "Long-window qubit rate of 1 kg: 4*C^2/h.",
-        lambda args: physics.qubits_per_kg_second(args.constants),
+        lambda args: oitkit.physics.qubits_per_kg_second(args.constants),
     ),
     ("physics", "universe"): Command(
         "Critical-density information budget of the universe.",
-        lambda args: physics.universe_info(args.constants, args.radius_ly, args.age),
+        lambda args: oitkit.physics.universe_info(args.constants, args.radius_ly, args.age),
         arg("--radius-ly", type=float, default=4.56e10, help="light-years"),
         arg("--age", type=float, default=4.3e17, help="s"),
     ),

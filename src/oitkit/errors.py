@@ -1,7 +1,17 @@
-"""Domain exceptions. All inherit OitError so callers (notably the CLI)
-can tell domain failures apart from usage errors."""
+"""Domain exceptions, and the finiteness check the calculators share. All
+exceptions inherit OitError so callers (notably the CLI) can tell domain
+failures apart from usage errors."""
 
 from __future__ import annotations
+
+import math
+
+
+def require_finite(**values: float) -> None:
+    """Reject a NaN or infinite input by name, in the order given."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 class OitError(Exception):

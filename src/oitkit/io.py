@@ -16,16 +16,18 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .model import (
-    CopyRecord,
-    InformationModel,
-    MeasureAssignment,
-    StateEntry,
-)
+import oitkit
+
 from .timeset import TimeSet, seconds_str, tick_str
+
+# The readers reach `model` through the package, which imports it on first
+# access (PEP 562), so writing a report does not load it.
+if TYPE_CHECKING:
+    from pathlib import Path
+
+    from .model import InformationModel, MeasureAssignment, StateEntry
 
 
 def timeset_to_json(ts: TimeSet) -> dict:
@@ -54,7 +56,7 @@ def entry_to_json(entry: StateEntry) -> dict:
 
 
 def entry_from_json(obj: dict) -> StateEntry:
-    return StateEntry(
+    return oitkit.model.StateEntry(
         subjects=obj["subjects"],
         time=timeset_from_json(obj["time"]),
         value=obj["value"],
@@ -72,7 +74,7 @@ def measures_to_json(measures: MeasureAssignment) -> dict:
 
 def measures_from_json(obj: dict | None) -> MeasureAssignment:
     obj = obj or {}
-    return MeasureAssignment(
+    return oitkit.model.MeasureAssignment(
         noumenon=obj.get("noumenon", {}),
         carrier=obj.get("carrier", {}),
         reflection=obj.get("reflection", {}),
@@ -104,7 +106,7 @@ def model_to_json(model: InformationModel) -> dict:
 
 def model_from_json(doc: dict) -> InformationModel:
     copies = doc.get("copies")
-    return InformationModel(
+    return oitkit.model.InformationModel(
         noumena=doc["noumena"],
         carriers=doc["carriers"],
         occurrence=timeset_from_json(doc["occurrence"]),
@@ -116,7 +118,7 @@ def model_from_json(doc: dict) -> InformationModel:
         copies=None
         if copies is None
         else [
-            CopyRecord(c["carrier_measure"], c.get("weight", 1)) for c in copies
+            oitkit.model.CopyRecord(c["carrier_measure"], c.get("weight", 1)) for c in copies
         ],
         enabled=doc.get("enabled", True),
         label=doc.get("label", ""),

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import require_finite
+
 # The long-window rate for 1 kg over 1 s, 4C²/h, evaluates to ≈ 5.4545e50
 # with the rounded constants profile; a previously circulated figure for the
 # same quantity is 5.3853e50, which does not follow from those constants.
@@ -27,13 +29,6 @@ UNIT_MASS_RATE_NOTE = (
     "circulated figure 5.3853e50, which is not reproducible from these "
     "constants (the computed value is reported instead)"
 )
-
-
-def _require_finite(**values: float) -> None:
-    """Reject a NaN or infinite input by name, in the order given."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 _CONSTANTS = ("h", "C", "k_b", "G", "H0", "ly")
@@ -57,7 +52,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for fieldname in _CONSTANTS:
-            _require_finite(**{fieldname: getattr(self, fieldname)})
+            require_finite(**{fieldname: getattr(self, fieldname)})
             if getattr(self, fieldname) <= 0:
                 raise ValueError(f"constant {fieldname} must be positive")
 
@@ -138,7 +133,7 @@ def quantum_volume(energy: float, time: float, consts: PhysicalConstants = PAPER
     The count is floored in exact rational arithmetic, so it is never off by
     one from rounding of the big product.
     """
-    _require_finite(energy=energy, time=time)
+    require_finite(energy=energy, time=time)
     if energy <= 0:
         raise ValueError("average quantum energy must be positive")
     if time < 0:
@@ -163,7 +158,7 @@ class CarrierSpec:
 
     def __post_init__(self):
         for fieldname in ("mass", "radiation_energy", "quantum_count", "duration"):
-            _require_finite(**{fieldname: getattr(self, fieldname)})
+            require_finite(**{fieldname: getattr(self, fieldname)})
             if getattr(self, fieldname) < 0:
                 raise ValueError(f"{fieldname} must be nonnegative")
         if self.mass == 0 and self.radiation_energy == 0 and self.quantum_count == 0:
@@ -206,7 +201,7 @@ def min_bit_mass(temperature: float, consts: PhysicalConstants = PAPER) -> float
 
     Classical equilibrium memory only; quantum carriers are not bound by it.
     """
-    _require_finite(temperature=temperature)
+    require_finite(temperature=temperature)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return consts.k_b * temperature * math.log(2) / consts.C**2
@@ -214,7 +209,7 @@ def min_bit_mass(temperature: float, consts: PhysicalConstants = PAPER) -> float
 
 def bits_per_kg(temperature: float, consts: PhysicalConstants = PAPER) -> float:
     """Upper bound on bits per kilogram of equilibrium memory at T kelvin."""
-    _require_finite(temperature=temperature)
+    require_finite(temperature=temperature)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return consts.C**2 / (consts.k_b * temperature * math.log(2))
@@ -246,7 +241,7 @@ def universe_info(
     Critical density 3H₀²/(8πG) times the observable volume gives the mass;
     the long-window carrier formula then gives the qubit total to date.
     """
-    _require_finite(radius_ly=radius_ly, age=age)
+    require_finite(radius_ly=radius_ly, age=age)
     if radius_ly <= 0 or age <= 0:
         raise ValueError("radius and age must be positive")
     rho_c = 3.0 * consts.H0**2 / (8.0 * math.pi * consts.G)

@@ -1,8 +1,11 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from oitkit.cli import main
+from oitkit import cli, metrics, physics
+from oitkit.cli import COMMANDS, main
 from oitkit.io import load_model, model_from_json, model_to_json, to_json_text
 from oitkit.model import validate
 from oitkit.scenarios import penguin_model
@@ -498,3 +501,111 @@ def test_unknown_key_in_a_constants_file_is_a_usage_error(capsys, fixtures_dir):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path} is not a constants file: unknown constants [")
+
+
+def test_deeply_nested_file_is_a_usage_error_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot parse {path}: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, what",
+    [
+        (["metrics", "{penguin}", "--restored"], "--restored", "a state value"),
+        (["metrics", "{penguin}", "--truth"], "--truth", "a state value"),
+        (["metrics", "{penguin}", "--gaps"], "--gaps", "a list of time pairs"),
+        (["classical", "mtbf", "--sessions"], "--sessions", "a list of time pairs"),
+    ],
+    ids=["restored", "truth", "gaps", "sessions"],
+)
+@pytest.mark.parametrize(
+    "value", ["[" * 5000, "[" * 990 + "]" * 990], ids=["5000-open", "990-closed"]
+)
+def test_deeply_nested_flag_value_is_a_usage_error_naming_the_flag(
+    capsys, fixtures_dir, argv, flag, what, value
+):
+    code, out, err = run(capsys, *with_fixtures(fixtures_dir, argv), value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} is not {what}: ")
+    assert err.count("\n") == 1
+
+
+# `--help` of the root, of each group and of each leaf, recorded from the
+# parser as it was when every verb still imported the whole package. Python
+# 3.13 wraps some usage lines differently; its texts for those are recorded
+# as well.
+HELP = json.loads((Path(__file__).resolve().parent / "cli_help.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("path", sorted(HELP["help"]), ids=lambda path: path or "oitkit")
+def test_help_texts_are_unchanged(capsys, monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    expected = HELP["help"][path]
+    if sys.version_info >= (3, 13):
+        expected = HELP["help_3_13"].get(path, expected)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*path.split(), "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_help_texts_cover_every_command():
+    assert sorted(HELP["help"]) == sorted(["", *(" ".join(path) for path in COMMANDS)])
+
+
+def test_choices_are_those_of_the_library():
+    assert cli.DISTANCE_KINDS == metrics.DISTANCE_KINDS
+    assert cli.REGIMES == physics.REGIMES
+    choices = {}
+    for row in COMMANDS.values():
+        for flags, options in row.args:
+            if "choices" in options:
+                choices.setdefault(flags[0], set()).add(tuple(options["choices"]))
+    assert choices["--distance"] == {metrics.DISTANCE_KINDS}
+    assert choices["--regime"] == {physics.REGIMES}
+
+
+CONSTANTS_VERBS = [
+    ["physics", "{constants}", "quantum", "--energy", "1.65e-34", "--time", "1"],
+    ["physics", "{constants}", "carrier", "--mass", "1", "--time", "1", "--regime", "long"],
+    ["physics", "{constants}", "bitmass"],
+    ["physics", "{constants}", "qubit-rate"],
+    ["physics", "{constants}", "universe"],
+    ["demo", "{constants}"],
+]
+
+
+def _with_constants(argv, *constants):
+    i = argv.index("{constants}")
+    return [*argv[:i], *constants, *argv[i + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "argv", CONSTANTS_VERBS, ids=lambda argv: " ".join(argv[:3]).replace(" {constants}", "")
+)
+def test_constants_profiles_and_files(capsys, tmp_path, argv):
+    def report(*constants):
+        return run(capsys, *_with_constants(argv, *constants), "--format", "json")
+
+    code, default, _ = report()
+    assert code == 0
+    assert '"profile": "paper"' in default
+    assert report("--constants", "paper") == (0, default, "")
+
+    code, codata, _ = report("--constants", "codata")
+    assert code == 0
+    assert '"profile": "codata"' in codata
+    assert '"profile": "paper"' not in codata
+
+    custom = tmp_path / "constants.json"
+    custom.write_text(json.dumps({"name": "codata"}), encoding="utf-8")
+    assert report("--constants", str(custom)) == (0, codata, "")
+
+    code, out, err = run(capsys, *_with_constants(argv, "--constants", "no-such-profile"))
+    assert (code, out) == (2, "")
+    assert err == "error: file not found: no-such-profile\n"
