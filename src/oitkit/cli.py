@@ -5,12 +5,12 @@ its description and help text, its argument specs, and `run`, which turns the
 parsed arguments into a report dict. A row without `run` is a group, whose
 arguments are flags given before the subcommand (``physics --constants``).
 `build_parser` builds the argparse tree from the table in one loop; `main` runs
-the chosen row and emits its report, as JSON or as a text view of the same
-document. Every file argument is read by `read_file`. Exit codes: 0 success,
-1 domain error (invalid model, missing measure, non-restorable mapping, ...;
-also any report whose `valid` field is false), 2 usage error (unknown flags; a
-flag value that does not parse; a file that is missing, unparseable, or of the
-wrong shape).
+the chosen row and emits its report as JSON text, or as a text view rendered
+from that text. Every file argument is read by `read_file`. Exit codes: 0
+success, 1 domain error (invalid model, missing measure, non-restorable
+mapping, ...; also any report whose `valid` field is false), 2 usage error
+(unknown flags; a flag value that does not parse; a file that is missing,
+unparseable, or of the wrong shape).
 
 Of the other oitkit modules, only `errors` and `io` (with the `timeset` it
 uses), which every report goes through, are imported with this one. The rest
@@ -32,7 +32,6 @@ from .errors import OitError
 from .io import (
     chain_from_json,
     entry_to_json,
-    json_ready,
     model_from_json,
     model_to_json,
     to_json_text,
@@ -52,8 +51,8 @@ def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
 
     A missing or unreadable file, unparseable JSON (nested too deep
     included), and a document that `convert` rejects for its shape or a
-    missing field are usage errors that name the file; `kind` says what the
-    file should have held.
+    missing field are usage errors that name the file; `kind` says, with its
+    article, what the file should have held ("an edges").
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -67,9 +66,9 @@ def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
     try:
         return convert(doc)
     except KeyError as exc:
-        raise UsageError(f"{path} is not a {kind} file: missing field {exc}") from exc
+        raise UsageError(f"{path} is not {kind} file: missing field {exc}") from exc
     except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path} is not a {kind} file: {exc}") from exc
+        raise UsageError(f"{path} is not {kind} file: {exc}") from exc
 
 
 def reader(kind: str, convert: Callable[[Any], Any]) -> Callable[[str], Any]:
@@ -108,7 +107,7 @@ def _parse_constants(value: str) -> oitkit.physics.PhysicalConstants:
         return oitkit.physics.profile(value)
     return read_file(
         value,
-        "constants",
+        "a constants",
         lambda doc: oitkit.physics.constants_from_dict(doc, name=doc.get("name", "custom")),
     )
 
@@ -138,7 +137,9 @@ def render_text(doc, indent: int = 0) -> str:
 
 
 def emit(report: dict, args) -> None:
-    text = to_json_text(report) if args.format == "json" else render_text(json_ready(report))
+    text = to_json_text(report)
+    if args.format == "text":
+        text = render_text(json.loads(text))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -365,9 +366,9 @@ STATE_VALUE = ("a state value", inline_value)
 TIME_PAIRS = ("a list of time pairs", time_pairs)
 NUMBERS = ("a list of numbers", listed(float))
 TIMES = ("a list of times", listed(seconds))
-MODEL_FILE = reader("model", model_from_json)
-LABELS_FILE = reader("relation", lambda doc: oitkit.metrics.EquivalenceRelation(doc["labels"]))
-EDGES_FILE = reader("edges", lambda doc: oitkit.metrics.RelationSet(doc["edges"]))
+MODEL_FILE = reader("a model", model_from_json)
+LABELS_FILE = reader("a relation", lambda doc: oitkit.metrics.EquivalenceRelation(doc["labels"]))
+EDGES_FILE = reader("an edges", lambda doc: oitkit.metrics.RelationSet(doc["edges"]))
 MODEL = arg("model", type=MODEL_FILE)
 # argparse passes a string default through `type`, so "paper" becomes the
 # paper profile without importing `physics` to build the table.
@@ -421,7 +422,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         run_chain,
         arg(
             "chain",
-            type=reader("chain", chain_from_json),
+            type=reader("a chain", chain_from_json),
             help="JSON file: a list of models or {'links': [...]}",
         ),
         help="compose a serial transmission chain",
@@ -495,7 +496,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         "Discrete Kalman filter: minimum-distortion state estimate; "
         "scenario file with A, H, Q, R, x0, P0 and measurements z.",
         run_kalman,
-        arg("scenario", type=reader("Kalman scenario", _kalman_scenario)),
+        arg("scenario", type=reader("a Kalman scenario", _kalman_scenario)),
     ),
     ("classical", "asl"): Command(
         "Average search length, sequential or bisection.",
@@ -506,7 +507,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ("classical", "search"): Command(
         "Minimum-mismatch lookup over candidate models.",
         run_search,
-        arg("scenario", type=reader("search scenario", _search_scenario)),
+        arg("scenario", type=reader("a search scenario", _search_scenario)),
         arg("--threshold", type=float, default=0.0),
         DISTANCE,
         WEIGHTS,

@@ -6,13 +6,13 @@ coordinates are written as decimal strings ("12.010") so they survive the
 round trip exactly; plain numbers are accepted on input.
 
 Reports leave through `to_json_text`, which writes every JSON report, model
-file and golden fixture in one pass. `json_ready` turns a report into plain
-JSON values for the text view of the CLI (`--format text`).
+file and golden fixture in one pass; the text view of the CLI
+(`--format text`) is rendered from that JSON text. `tests/oracles.py` pins
+the bytes it must write: those of `json_text_oracle`.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -25,8 +25,6 @@ from .timeset import TimeSet, seconds_str, tick_str
 # The readers reach `model` through the package, which imports it on first
 # access (PEP 562), so writing a report does not load it.
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from .model import InformationModel, MeasureAssignment, StateEntry
 
 
@@ -125,58 +123,24 @@ def model_from_json(doc: dict) -> InformationModel:
     )
 
 
-def load_model(path: str | Path) -> InformationModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_json(json.load(handle))
-
-
 def chain_from_json(doc: list | dict) -> list[InformationModel]:
     """The links of a chain document: a list of models or {"links": [...]}."""
     links = doc if isinstance(doc, list) else doc["links"]
     return [model_from_json(link) for link in links]
 
 
-def load_chain(path: str | Path) -> list[InformationModel]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return chain_from_json(json.load(handle))
-
-
-def json_ready(obj: Any) -> Any:
-    """Recursively convert report values into JSON-encodable ones.
-
-    Fractions become exact decimal strings, numpy arrays become nested
-    lists, and tuples become lists; everything else passes through. The CLI
-    uses it for the text view of a report; `to_json_text` writes the same
-    conversions straight to JSON text. A numpy value can only exist once
-    numpy is loaded, so its branches look numpy up in `sys.modules` rather
-    than importing it.
-    """
-    if isinstance(obj, Fraction):
-        return seconds_str(obj)
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(obj, np.ndarray):
-            return json_ready(obj.tolist())
-        if isinstance(obj, np.generic):
-            return obj.item()
-    return obj
-
-
 def to_json_text(obj: Any) -> str:
     """Deterministic JSON text of a report: sorted keys, two-space indent,
     ASCII escapes, no trailing space.
 
-    The bytes are those of ``json.dumps(json_ready(obj), sort_keys=True,
-    indent=2)``, written in one walk over `obj` without the intermediate
-    copy, and it raises `TypeError` where that expression does. Every JSON
-    report of the CLI, the model files of `regen_fixtures.py` and the golden
-    reports go through it.
+    A report's values are converted on the way: a Fraction becomes its exact
+    decimal string (`seconds_str`), a tuple or a numpy array a list, a
+    frozenset its sorted list, a numpy scalar its `item()`, and a dict key
+    `str(key)`. Anything else must be a value `json` writes, or `TypeError`
+    is raised. The pinned definition of the bytes is
+    `tests/oracles.json_text_oracle`. Every report of the CLI, in either
+    format, the model files of `regen_fixtures.py` and the golden reports go
+    through it.
     """
     out: list[str] = []
     _write(obj, out, "\n", _READY)
@@ -202,7 +166,7 @@ def _fraction_text(f: Fraction) -> str:
 
 
 # Exact leaf types and their text. _PLAIN is json's own encoding; _READY adds
-# json_ready's conversion of Fractions and is the mode of a report's values.
+# the conversion of Fractions and is the mode of a report's values.
 # The table a value is written with is the mode its subtree is in.
 _PLAIN = {
     str: _quote,
@@ -217,9 +181,9 @@ _READY = {**_PLAIN, Fraction: _fraction_text}
 def _write(o: Any, out: list[str], nl: str, leaves: dict) -> None:
     """Append the text of `o` at the indent `nl` (a newline and its spaces).
 
-    In _READY mode `o` gets json_ready's conversions. A frozenset's sorted
-    items and a numpy scalar's `item()` are then written as json writes
-    them, in _PLAIN mode, because json_ready does not convert them further.
+    In _READY mode `o` gets `to_json_text`'s conversions. A frozenset's
+    sorted items and a numpy scalar's `item()` are then written as json
+    writes them, in _PLAIN mode, without converting them further.
     """
     leaf = leaves.get(type(o))
     if leaf is not None:
@@ -227,7 +191,7 @@ def _write(o: Any, out: list[str], nl: str, leaves: dict) -> None:
         return
     if leaves is _READY:
         if isinstance(o, dict):
-            # str(k) may make two keys equal; the later value wins, as in json_ready
+            # str(k) may make two keys equal; the later value wins
             _pairs(sorted({str(k): v for k, v in o.items()}.items()), out, nl, leaves)
         elif isinstance(o, (list, tuple)):
             _items(o, out, nl, leaves)

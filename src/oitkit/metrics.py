@@ -9,9 +9,11 @@ configurable distance space.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
     MissingMeasureError,
     PartialRelationError,
 )
-from .model import InformationModel, is_finite_real, require_valid, value_key
+from .model import InformationModel, as_index, is_finite_real, key_index, require_valid, value_key
 from .timeset import TimeSet, seconds
 
 
@@ -32,7 +34,7 @@ class EquivalenceRelation:
     labels: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", {int(k): v for k, v in self.labels.items()})
+        object.__setattr__(self, "labels", {key_index(k): v for k, v in self.labels.items()})
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class RelationSet:
 
     def __init__(self, edges):
         object.__setattr__(
-            self, "edges", tuple((int(a), int(b), lab) for a, b, lab in edges)
+            self, "edges", tuple((as_index(a), as_index(b), lab) for a, b, lab in edges)
         )
 
 
@@ -145,31 +147,44 @@ def sampling_rate(model: InformationModel, gaps: Sequence[tuple] | None = None) 
     """Number of occurrence gaps divided by their total length.
 
     When no gaps are passed, the maximal open gaps of the occurrence set
-    within [inf, sup] are used. Exact arithmetic: k equal gaps of width w
-    give exactly 1/w.
+    within [inf, sup] are used; explicit gaps must each lie in one of those
+    and must not overlap each other. Exact arithmetic: k equal gaps of width
+    w give exactly 1/w.
     """
     require_valid(model)
     occ = model.occurrence
+    holes = occ.gaps()
     if gaps is None:
-        resolved = occ.gaps()
+        resolved = holes
     else:
+        # An open gap misses the occurrence set exactly when one of its
+        # maximal gaps holds it: the last one starting at or before lo. The
+        # accepted gaps, kept as (lo, hi, input position) sorted by lo, are
+        # disjoint, so they are sorted by hi too, and those a new gap
+        # overlaps form one run of them; the error names the one given first.
         resolved = []
-        for lo, hi in gaps:
+        for position, (lo, hi) in enumerate(gaps):
             lo_f, hi_f = seconds(lo), seconds(hi)
             if hi_f <= lo_f:
                 raise GapError(f"gap ({lo_f}, {hi_f}) has no width")
             if lo_f < occ.inf or hi_f > occ.sup:
                 raise GapError(f"gap ({lo_f}, {hi_f}) leaves [inf, sup] of the occurrence set")
-            if occ.overlaps_interval(lo_f, hi_f):
+            i = bisect_right(holes, lo_f, key=_lo) - 1
+            if i < 0 or hi_f > holes[i][1]:
                 raise GapError(f"gap ({lo_f}, {hi_f}) overlaps the occurrence times")
-            for plo, phi in resolved:
-                if plo < hi_f and lo_f < phi:
-                    raise GapError(f"gap ({lo_f}, {hi_f}) overlaps gap ({plo}, {phi})")
-            resolved.append((lo_f, hi_f))
+            first = bisect_right(resolved, lo_f, key=_hi)
+            run = resolved[first : bisect_left(resolved, hi_f, key=_lo)]
+            if run:
+                plo, phi, _ = min(run, key=itemgetter(2))
+                raise GapError(f"gap ({lo_f}, {hi_f}) overlaps gap ({plo}, {phi})")
+            insort(resolved, (lo_f, hi_f, position), key=_lo)
     if not resolved:
         raise GapError("occurrence set has no gaps to sample over")
-    total = sum((hi - lo for lo, hi in resolved), Fraction(0))
+    total = sum((gap[1] - gap[0] for gap in resolved), Fraction(0))
     return Fraction(len(resolved)) / total
+
+
+_lo, _hi = itemgetter(0), itemgetter(1)
 
 
 def _value_level_edges(model: InformationModel, rels: RelationSet) -> set:

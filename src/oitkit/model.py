@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +46,26 @@ _NUMBER = (int, float, Real)
 def is_finite_real(value) -> bool:
     """True for a finite real number; ints and Fractions always are."""
     return isinstance(value, Rational) or (isinstance(value, Real) and math.isfinite(value))
+
+
+def as_index(value) -> int:
+    """`value` as an index: an int or another integer type (a numpy integer),
+    but not a bool, and not a float, which `int` would truncate."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"an index must be an integer, not {value!r}")
+    return operator.index(value)
+
+
+def key_index(key) -> int:
+    """`as_index` of a table key, which may also be the decimal string of an
+    integer, as a JSON object key writes it ("3", "-1")."""
+    if isinstance(key, str):
+        digits = key.removeprefix("-")
+        if digits.isascii() and digits.isdecimal():
+            return int(key)
+    return as_index(key)
 
 
 def value_key(value) -> tuple:
@@ -107,7 +128,7 @@ class MeasureAssignment:
         object.__setattr__(
             self,
             "reflection",
-            MappingProxyType({int(k): v for k, v in self.reflection.items()}),
+            MappingProxyType({key_index(k): v for k, v in self.reflection.items()}),
         )
 
     def __reduce__(self):
@@ -144,7 +165,9 @@ class InformationModel:
         object.__setattr__(self, "carriers", frozenset(self.carriers))
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "reflections", tuple(self.reflections))
-        object.__setattr__(self, "mapping", tuple((int(s), int(r)) for s, r in self.mapping))
+        object.__setattr__(
+            self, "mapping", tuple((as_index(s), as_index(r)) for s, r in self.mapping)
+        )
         if self.copies is not None:
             object.__setattr__(self, "copies", tuple(self.copies))
         object.__setattr__(self, "enabled", bool(self.enabled))

@@ -204,13 +204,6 @@ class TimeSet:
             if next_lo > prev_hi
         ]
 
-    def overlaps_interval(self, lo: TimeLike, hi: TimeLike) -> bool:
-        """True if the open interval (lo, hi) meets this set."""
-        lo_t, hi_t = ticks(lo), ticks(hi)
-        return any(ilo < hi_t and lo_t < ihi for ilo, ihi in self.spans) or any(
-            lo_t < p < hi_t for p in self.marks
-        )
-
     def __repr__(self) -> str:
         return f"TimeSet(intervals={self.intervals!r}, points={self.points!r})"
 

@@ -2,7 +2,7 @@
 
 Each oracle takes a deliberately different route from the code under test:
 brute-force enumeration, explicit joint-Gaussian conditioning, root finding,
-direct simulation, or the standard library's own encoder.
+direct simulation, all-pairs scans, or the standard library's own encoder.
 """
 
 from __future__ import annotations
@@ -12,13 +12,68 @@ from fractions import Fraction
 
 import numpy as np
 
-from oitkit.io import json_ready
+from oitkit.errors import GapError
+from oitkit.timeset import seconds, seconds_str
+
+
+def json_ready(obj):
+    """Recursively convert report values into JSON-encodable ones.
+
+    Fractions become exact decimal strings, tuples and numpy arrays lists,
+    frozensets sorted lists and numpy scalars their `item()`; everything
+    else passes through.
+    """
+    if isinstance(obj, Fraction):
+        return seconds_str(obj)
+    if isinstance(obj, dict):
+        return {str(k): json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if isinstance(obj, np.ndarray):
+        return json_ready(obj.tolist())
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 def json_text_oracle(obj) -> str:
     """Report text as `json` writes it from `json_ready`'s plain copy; the
     bytes `to_json_text` must produce."""
     return json.dumps(json_ready(obj), sort_keys=True, indent=2)
+
+
+def sampling_rate_by_definition(occ, gaps=None) -> Fraction:
+    """Gap count over total gap length, checking each explicit gap against
+    every interval and point of `occ` and against every earlier gap.
+
+    Without explicit gaps, the gaps are the holes between consecutive
+    components of `occ` in sorted order. Raises `GapError` with the
+    library's messages, for the first bad gap in input order.
+    """
+    if gaps is None:
+        parts = sorted(list(occ.intervals) + [(p, p) for p in occ.points])
+        resolved = [(a_hi, b_lo) for (_, a_hi), (b_lo, _) in zip(parts, parts[1:]) if b_lo > a_hi]
+    else:
+        resolved = []
+        for lo, hi in gaps:
+            lo_f, hi_f = seconds(lo), seconds(hi)
+            if hi_f <= lo_f:
+                raise GapError(f"gap ({lo_f}, {hi_f}) has no width")
+            if lo_f < occ.inf or hi_f > occ.sup:
+                raise GapError(f"gap ({lo_f}, {hi_f}) leaves [inf, sup] of the occurrence set")
+            if any(ilo < hi_f and lo_f < ihi for ilo, ihi in occ.intervals) or any(
+                lo_f < p < hi_f for p in occ.points
+            ):
+                raise GapError(f"gap ({lo_f}, {hi_f}) overlaps the occurrence times")
+            for plo, phi in resolved:
+                if plo < hi_f and lo_f < phi:
+                    raise GapError(f"gap ({lo_f}, {hi_f}) overlaps gap ({plo}, {phi})")
+            resolved.append((lo_f, hi_f))
+    if not resolved:
+        raise GapError("occurrence set has no gaps to sample over")
+    return Fraction(len(resolved)) / sum((hi - lo for lo, hi in resolved), Fraction(0))
 
 
 def restorable_bruteforce(model) -> bool:

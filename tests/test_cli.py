@@ -6,7 +6,7 @@ import pytest
 
 from oitkit import cli, metrics, physics
 from oitkit.cli import COMMANDS, main
-from oitkit.io import load_model, model_from_json, model_to_json, to_json_text
+from oitkit.io import model_from_json, model_to_json, to_json_text
 from oitkit.model import validate
 from oitkit.scenarios import penguin_model
 
@@ -77,7 +77,7 @@ def test_chain_command_roundtrips(capsys, fixtures_dir, tmp_path):
     assert validate(composed).ok
     out = tmp_path / "composed.json"
     out.write_text(json.dumps(doc["model"]))
-    assert load_model(out) == composed
+    assert model_from_json(json.loads(out.read_text())) == composed
 
 
 def test_classical_subcommands(capsys, fixtures_dir):
@@ -337,6 +337,19 @@ BAD_PAIRS = {
     "mapping_number": lambda doc: doc.update(mapping=[0]),
     "interval_triple": lambda doc: doc["occurrence"].update(intervals=[["0", "0.01", "1"]]),
     "interval_number": lambda doc: doc["occurrence"].update(intervals=[0]),
+    # an index that is not an integer, or a measure key that is not the
+    # decimal string of one, would be truncated or read leniently by `int`
+    "mapping_float": lambda doc: doc.update(mapping=[[0.9, 0.7]]),
+    "mapping_bool": lambda doc: doc.update(mapping=[[True, False]]),
+    "measure_key_sign": lambda doc: doc["measures"].update(reflection={"+0": 8388608}),
+}
+
+
+# Other files, by name: the kind of file each should have been, and its text.
+BAD_FILES = {
+    "float_edges": ("an edges", '{"edges": [[0.6, 0.2, "x"]]}'),
+    "short_edges": ("an edges", '{"edges": [[0, 1]]}'),
+    "signed_labels": ("a relation", '{"labels": {"0": "a", "+0": "b"}}'),
 }
 
 
@@ -360,6 +373,17 @@ BAD_PAIRS = {
             ["classical", "aggregation-check", "{penguin}", "--edges", "{empty}"],
             "empty",
             id="aggregation-check-no-edges",
+        ),
+        pytest.param(
+            ["metrics", "{penguin}", "--edges", "{float_edges}"], "float_edges", id="edges-float"
+        ),
+        pytest.param(
+            ["metrics", "{penguin}", "--edges", "{short_edges}"], "short_edges", id="edges-pair"
+        ),
+        pytest.param(
+            ["metrics", "{penguin}", "--relation", "{signed_labels}"],
+            "signed_labels",
+            id="labels-signed-key",
         ),
         pytest.param(["validate", "{array}"], "array", id="validate-array"),
         pytest.param(
@@ -393,6 +417,9 @@ def test_bad_files_are_usage_errors_naming_the_file(capsys, fixtures_dir, tmp_pa
         spoil(doc)
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(doc))
+    for name, (_, text) in BAD_FILES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text)
     code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert code == 2
     assert out == ""
@@ -400,6 +427,8 @@ def test_bad_files_are_usage_errors_naming_the_file(capsys, fixtures_dir, tmp_pa
     assert err.startswith("error: ") and str(files[bad]) in err
     if bad in BAD_PAIRS:
         assert err.startswith(f"error: {files[bad]} is not a model file: ")
+    if bad in BAD_FILES:
+        assert err.startswith(f"error: {files[bad]} is not {BAD_FILES[bad][0]} file: ")
 
 
 @pytest.mark.parametrize(

@@ -7,20 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oitkit.io import (
-    json_ready,
-    load_chain,
-    load_model,
-    model_from_json,
-    model_to_json,
-    to_json_text,
-)
+from oitkit.cli import render_text
+from oitkit.io import chain_from_json, model_from_json, model_to_json, to_json_text
 from oitkit.metrics import volume
 from oitkit.model import validate
 from oitkit.scenarios import penguin_model
 
 from generate import random_chain, random_restorable_model
-from oracles import json_text_oracle
+from oracles import json_ready, json_text_oracle
 
 
 def test_penguin_roundtrip_is_lossless(penguin):
@@ -47,15 +41,19 @@ def test_times_serialize_as_decimal_strings(penguin):
     assert '"0.01"' in text
 
 
+def _read(path):
+    return json.loads(path.read_text())
+
+
 def test_fixture_files_load_and_validate(fixtures_dir):
-    penguin = load_model(fixtures_dir / "penguin.json")
+    penguin = model_from_json(_read(fixtures_dir / "penguin.json"))
     assert validate(penguin).ok
     assert penguin == penguin_model()
-    chain = load_chain(fixtures_dir / "chain3.json")
+    chain = chain_from_json(_read(fixtures_dir / "chain3.json"))
     assert len(chain) == 3
     for link in chain:
         assert validate(link).ok
-    network = load_model(fixtures_dir / "network4.json")
+    network = model_from_json(_read(fixtures_dir / "network4.json"))
     assert validate(network).ok
 
 
@@ -64,7 +62,7 @@ def test_chain_file_accepts_bare_lists(tmp_path):
     chain = random_chain(rng, links=2)
     path = tmp_path / "chain.json"
     path.write_text(to_json_text([model_to_json(link) for link in chain]))
-    assert load_chain(path) == chain
+    assert chain_from_json(_read(path)) == chain
 
 
 def test_json_text_is_deterministic(penguin):
@@ -155,3 +153,10 @@ def test_json_text_matches_the_json_module(x):
             to_json_text(x)
     else:
         assert to_json_text(x) == expected
+
+
+@given(_report_values)
+@example({1: "i", "1": "s", "k": [Fraction(1, 3), (float("nan"), -0.0)], "a": {}})
+@example([np.array([[1.5, -0.0]]), np.float64("inf"), frozenset("ba"), "\ud800", 10**30])
+def test_text_view_of_the_json_text_is_that_of_the_plain_copy(x):
+    assert render_text(json.loads(to_json_text(x))) == render_text(json_ready(x))

@@ -36,6 +36,7 @@ from oitkit.model import CopyRecord, InformationModel, MeasureAssignment, StateE
 from oitkit.timeset import TimeSet
 
 from generate import random_restorable_model
+from oracles import sampling_rate_by_definition
 
 
 def flat_model(
@@ -300,6 +301,57 @@ def test_sampling_rate_gap_errors_name_the_gap(occurrence, gaps, message):
     with pytest.raises(GapError) as err:
         sampling_rate(m, gaps)
     assert str(err.value) == message
+
+
+def _eighths(lo, width):
+    return Fraction(lo, 8), Fraction(lo + width, 8)
+
+
+def _cells_and_a_cover(cells, cover, at):
+    """Disjoint one-eighth gaps in random order, with `cover` put among them."""
+    gaps = [_eighths(k, 1) for k in cells]
+    gaps.insert(at % (len(gaps) + 1), cover)
+    return gaps
+
+
+_quarters = st.integers(0, 40).map(lambda k: Fraction(k, 4))
+_occurrences = st.builds(
+    lambda spans, points: TimeSet(intervals=spans, points=points),
+    st.lists(st.tuples(_quarters, _quarters).map(sorted), max_size=6),
+    st.lists(_quarters, min_size=1, max_size=4),
+)
+_WIDE_HOLES = TimeSet(intervals=[(0, 1), (9, 10)], points=[20])  # holes (1, 9) and (10, 20)
+_short_gaps = st.builds(_eighths, st.integers(0, 160), st.integers(1, 16))
+
+
+@given(
+    st.one_of(
+        st.tuples(_occurrences, st.none() | st.lists(st.tuples(_quarters, _quarters), max_size=8)),
+        # overlap-heavy: many short gaps inside a few wide holes
+        st.tuples(st.just(_WIDE_HOLES), st.lists(_short_gaps, max_size=30)),
+        st.tuples(
+            st.just(_WIDE_HOLES),
+            st.builds(
+                _cells_and_a_cover,
+                st.lists(st.integers(8, 71), unique=True, max_size=24),
+                _short_gaps,
+                st.integers(0, 24),
+            ),
+        ),
+    )
+)
+def test_sampling_rate_agrees_with_the_definition(case):
+    occurrence, gaps = case
+
+    def outcome(rate, *args):
+        try:
+            return rate(*args)
+        except GapError as exc:
+            return str(exc)
+
+    assert outcome(sampling_rate, flat_model(["a"], occurrence=occurrence), gaps) == outcome(
+        sampling_rate_by_definition, occurrence, gaps
+    )
 
 
 # ---------------------------------------------------------------- aggregation

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -612,6 +613,38 @@ def test_measure_tables_are_read_only(penguin, table, key):
     with pytest.raises(TypeError):
         getattr(penguin.measures, table)[key] = -5
     assert validate(penguin).ok
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: dataclasses.replace(m, mapping=[(0.9, 0.7)]),
+        lambda m: dataclasses.replace(m, mapping=[(True, False)]),
+        lambda m: dataclasses.replace(m, mapping=[(0, np.float64(0))]),
+        lambda m: MeasureAssignment(reflection={0.5: 1}),
+        lambda m: MeasureAssignment(reflection={" 0": 1}),
+        lambda m: RelationSet([(0.6, 0.2, "x")]),
+        lambda m: RelationSet([(0, False, "x")]),
+        lambda m: EquivalenceRelation({0.5: "a"}),
+        lambda m: EquivalenceRelation({"0": "a", "+0": "b"}),
+        lambda m: EquivalenceRelation({"0_0": "a"}),
+        lambda m: EquivalenceRelation({"\u0663": "a"}),
+    ],
+    ids=[
+        "mapping-float", "mapping-bool", "mapping-numpy-float", "measure-float-key",
+        "measure-spaced-key", "edge-float", "edge-bool", "label-float-key",
+        "label-signed-key", "label-underscore-key", "label-arabic-digit-key",
+    ],
+)
+def test_indices_that_are_not_integers_are_refused(penguin, build):
+    with pytest.raises(TypeError, match="an index must be an integer"):
+        build(penguin)
+
+
+def test_indices_and_index_keys_that_are_integers_are_read():
+    assert RelationSet([(np.int64(2), 0, "x")]).edges == ((2, 0, "x"),)
+    assert EquivalenceRelation({"12": "a", "-1": "b", 3: "c"}).labels == {12: "a", -1: "b", 3: "c"}
+    assert dict(MeasureAssignment(reflection={"0": 5, np.int32(1): 6}).reflection) == {0: 5, 1: 6}
 
 
 def test_frozen_models_still_pickle_and_deep_copy(penguin):
