@@ -6,11 +6,13 @@ parsed arguments into a report dict. A row without `run` is a group, whose
 arguments are flags given before the subcommand (``physics --constants``).
 `build_parser` builds the argparse tree from the table in one loop; `main` runs
 the chosen row and emits its report as JSON text, or as a text view rendered
-from that text. Every file argument is read by `read_file`. Exit codes: 0
-success, 1 domain error (invalid model, missing measure, non-restorable
-mapping, ...; also any report whose `valid` field is false), 2 usage error
-(unknown flags; a flag value that does not parse; a file that is missing,
-unparseable, or of the wrong shape).
+from that text. Every file argument is read by `read_file`, with the reader
+that `io` has for its kind; this module knows nothing of a file's fields.
+Exit codes: 0 success, 1 domain error (invalid model, missing measure,
+non-restorable mapping, ...; also any report whose `valid` field is false),
+2 usage error (unknown flags; a flag value that does not parse; a file that is
+missing or unparseable, or that its reader rejects, naming the field's JSON
+path).
 
 Of the other oitkit modules, only `errors` and `io` (with the `timeset` it
 uses), which every report goes through, are imported with this one. The rest
@@ -31,9 +33,15 @@ import oitkit
 from .errors import OitError
 from .io import (
     chain_from_json,
+    constants_from_json,
+    edges_from_json,
     entry_to_json,
+    kalman_from_json,
     model_from_json,
     model_to_json,
+    relation_from_json,
+    search_from_json,
+    time_pairs_from_json,
     to_json_text,
 )
 from .timeset import seconds
@@ -50,9 +58,10 @@ def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
     """Parse the JSON file at `path` and turn it into a value with `convert`.
 
     A missing or unreadable file, unparseable JSON (nested too deep
-    included), and a document that `convert` rejects for its shape or a
-    missing field are usage errors that name the file; `kind` says, with its
-    article, what the file should have held ("an edges").
+    included), and a document that `convert` rejects with a `ValueError`
+    (an `io.FormatError` naming the field, or a constructor's own check) are
+    usage errors that name the file; `kind` says, with its article, what the
+    file should have held ("an edges").
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -65,9 +74,7 @@ def read_file(path: str, kind: str, convert: Callable[[Any], Any]) -> Any:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
     try:
         return convert(doc)
-    except KeyError as exc:
-        raise UsageError(f"{path} is not {kind} file: missing field {exc}") from exc
-    except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{path} is not {kind} file: {exc}") from exc
 
 
@@ -86,15 +93,7 @@ def inline_value(text: str) -> Any:
 
 def time_pairs(text: str) -> list:
     """A JSON list of [a, b] time pairs, such as '[[1, 2], ["3.5", 4]]'."""
-    pairs = json.loads(text)
-    if not isinstance(pairs, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 for pair in pairs
-    ):
-        raise ValueError(f"expected a JSON list of [a, b] pairs, got {text}")
-    for pair in pairs:
-        for t in pair:
-            seconds(t)  # raises for anything that is not a time
-    return pairs
+    return time_pairs_from_json(json.loads(text))
 
 
 def listed(parse: Callable[[str], Any]) -> Callable[[str], list]:
@@ -105,11 +104,7 @@ def listed(parse: Callable[[str], Any]) -> Callable[[str], list]:
 def _parse_constants(value: str) -> oitkit.physics.PhysicalConstants:
     if value in oitkit.physics.PROFILES:
         return oitkit.physics.profile(value)
-    return read_file(
-        value,
-        "a constants",
-        lambda doc: oitkit.physics.constants_from_dict(doc, name=doc.get("name", "custom")),
-    )
+    return read_file(value, "a constants", constants_from_json)
 
 
 def _distance_spec(args) -> oitkit.metrics.DistanceSpec:
@@ -267,11 +262,6 @@ def run_metcalfe(args) -> dict:
     return doc
 
 
-def _kalman_scenario(doc: dict):
-    matrices = {key: doc[key] for key in ("A", "H", "Q", "R", "x0", "P0")}
-    return oitkit.classical.LinearSystemSpec(**matrices, B=doc.get("B")), doc["z"], doc.get("U")
-
-
 def run_kalman(args) -> dict:
     system, measurements, inputs = args.scenario
     steps = oitkit.classical.kalman_filter(system, measurements, inputs)
@@ -285,15 +275,6 @@ def run_kalman(args) -> dict:
 def run_asl(args) -> dict:
     value = oitkit.classical.asl(args.algorithm, args.n)
     return {"algorithm": args.algorithm, "n": args.n, "asl": value}
-
-
-def _search_scenario(doc: dict) -> dict:
-    return {
-        "candidates": [model_from_json(m) for m in doc["candidates"]],
-        "target": model_from_json(doc["target"]),
-        "algorithm": doc.get("algorithm", "sequential"),
-        "order_keys": doc.get("order_keys"),
-    }
 
 
 def run_search(args) -> dict:
@@ -367,8 +348,8 @@ TIME_PAIRS = ("a list of time pairs", time_pairs)
 NUMBERS = ("a list of numbers", listed(float))
 TIMES = ("a list of times", listed(seconds))
 MODEL_FILE = reader("a model", model_from_json)
-LABELS_FILE = reader("a relation", lambda doc: oitkit.metrics.EquivalenceRelation(doc["labels"]))
-EDGES_FILE = reader("an edges", lambda doc: oitkit.metrics.RelationSet(doc["edges"]))
+LABELS_FILE = reader("a relation", relation_from_json)
+EDGES_FILE = reader("an edges", edges_from_json)
 MODEL = arg("model", type=MODEL_FILE)
 # argparse passes a string default through `type`, so "paper" becomes the
 # paper profile without importing `physics` to build the table.
@@ -496,7 +477,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         "Discrete Kalman filter: minimum-distortion state estimate; "
         "scenario file with A, H, Q, R, x0, P0 and measurements z.",
         run_kalman,
-        arg("scenario", type=reader("a Kalman scenario", _kalman_scenario)),
+        arg("scenario", type=reader("a Kalman scenario", kalman_from_json)),
     ),
     ("classical", "asl"): Command(
         "Average search length, sequential or bisection.",
@@ -507,7 +488,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
     ("classical", "search"): Command(
         "Minimum-mismatch lookup over candidate models.",
         run_search,
-        arg("scenario", type=reader("a search scenario", _search_scenario)),
+        arg("scenario", type=reader("a search scenario", search_from_json)),
         arg("--threshold", type=float, default=0.0),
         DISTANCE,
         WEIGHTS,
@@ -596,6 +577,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     except (OitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_EXIT
+    except ArithmeticError as exc:  # a float overflowed on inputs that are too large
+        print(f"error: arithmetic failed: {exc.args[-1]}", file=sys.stderr)
         return DOMAIN_EXIT
     return 0 if report.get("valid", True) else DOMAIN_EXIT
 

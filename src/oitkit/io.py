@@ -1,9 +1,21 @@
-"""Model files and report serialization.
+"""Input documents and report serialization.
 
-A model file is a JSON document with the keys noumena, carriers, occurrence,
-reflection, states, reflections, mapping, copies, measures, enabled. Time
-coordinates are written as decimal strings ("12.010") so they survive the
-round trip exactly; plain numbers are accepted on input.
+Every input file oitkit reads is read here, by one reader per kind:
+`model_from_json` (a model file), `chain_from_json`, `relation_from_json`,
+`edges_from_json`, `search_from_json`, `kalman_from_json` and
+`constants_from_json`; `time_pairs_from_json` reads the JSON of the `--gaps`
+and `--sessions` flags. A reader checks the JSON type of every field it reads
+and fills in every default. A field that is missing or of the wrong type
+raises `FormatError`, a `ValueError` that names the field's JSON path. What
+the values mean is checked later: a model's measures and its four postulates
+by `model.validate`, a Kalman system's shapes by `LinearSystemSpec`, a
+constant's sign by `PhysicalConstants`.
+
+A model file is a JSON object with the keys noumena, carriers, occurrence,
+reflection, states, reflections, mapping, copies, measures, enabled and
+label; the README tabulates each kind's fields. Time coordinates are written
+as decimal strings ("12.010") so they survive the round trip exactly; plain
+numbers are accepted on input.
 
 Reports leave through `to_json_text`, which writes every JSON report, model
 file and golden fixture in one pass; the text view of the CLI
@@ -15,17 +27,187 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
 
 import oitkit
 
-from .timeset import TimeSet, seconds_str, tick_str
+from .timeset import TimeSet, seconds_str, tick_str, ticks
 
-# The readers reach `model` through the package, which imports it on first
-# access (PEP 562), so writing a report does not load it.
+# The readers reach `model`, `metrics`, `classical` and `physics` through the
+# package, which imports each on first access (PEP 562), so writing a report
+# loads none of them.
 if TYPE_CHECKING:
+    from .classical import LinearSystemSpec
+    from .metrics import EquivalenceRelation, RelationSet
     from .model import InformationModel, MeasureAssignment, StateEntry
+    from .physics import PhysicalConstants
+
+
+class FormatError(ValueError):
+    """A field of an input document that is missing or of the wrong type.
+
+    `path` holds the keys and indices from the document's root to the field,
+    and `str()` appends it to the message, as in "... (at states[3].time)".
+    A reader raises the error where it finds the fault, and each enclosing
+    reader puts its own key in front (`within`), so a path is only built
+    for a document that has a fault.
+    """
+
+    def __init__(self, message: str, *path: str | int):
+        super().__init__(message)
+        self.message = message
+        self.path = path
+
+    def within(self, *outer: str | int) -> FormatError:
+        """This error, its path now starting with `outer`."""
+        self.path = outer + self.path
+        return self
+
+    def __str__(self) -> str:
+        if not self.path:
+            return self.message
+        steps = "".join(
+            f"[{step}]" if type(step) is int
+            else f".{step}" if type(step) is str and step.isidentifier()
+            else f"[{_quote(str(step))}]"
+            for step in self.path
+        )
+        return f"{self.message} (at {steps.removeprefix('.')})"
+
+
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+_NUMBERS = {int, float}
+_SCALARS = {str, int, float}  # a string or a number: a time, a value, a label
+_STRINGS = {str}
+_ARRAYS = {list}
+_NO_ITEMS: list = []  # the default of an absent array; never mutated
+_REQUIRED = object()
+
+
+def _expected(what: str, value: Any, *path: str | int) -> FormatError:
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    return FormatError(f"expected {what}, got {got}", *path)
+
+
+def _object(doc: Any) -> dict:
+    if type(doc) is not dict:
+        raise _expected("an object", doc)
+    return doc
+
+
+def _field(doc: dict, key: str, kind: type | None = None, default: Any = _REQUIRED) -> Any:
+    """`doc[key]`, which must be of the JSON type `kind` unless that is None;
+    `default` when the key is absent."""
+    value = doc.get(key, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise FormatError(f"missing field {key!r}", key)
+        return default
+    if kind is not None and type(value) is not kind:
+        raise _expected(_JSON_TYPES[kind], value, key)
+    return value
+
+
+def _all(items: list, kinds: set, what: str, *path: str | int) -> list:
+    """`items`, each of which must be of a type in `kinds`."""
+    if not kinds.issuperset(map(type, items)):
+        i = next(i for i, x in enumerate(items) if type(x) not in kinds)
+        raise _expected(what, items[i], *path, i)
+    return items
+
+
+def _each(items: list, read, *path: str | int) -> list:
+    """`read` of each item, an error naming the item's index."""
+    try:
+        return [read(item) for item in items]
+    except FormatError:
+        pass
+    for i, item in enumerate(items):  # again, counting, to find the item
+        _nested(read, item, *path, i)
+    raise AssertionError("unreachable: an item failed once and not again")
+
+
+def _nested(read, value: Any, *path: str | int) -> Any:
+    """`read(value)`, an error naming `path` in front of its own."""
+    try:
+        return read(value)
+    except FormatError as exc:
+        raise exc.within(*path)
+
+
+def _array_fault(value: Any, size: int, what: str, *path: str | int) -> FormatError | None:
+    """What keeps `value` from being an array of `size` items, or None."""
+    if type(value) is not list:
+        return _expected(what, value, *path)
+    if len(value) != size:
+        items = "item" if len(value) == 1 else "items"
+        return FormatError(f"expected {what}, got {len(value)} {items}", *path)
+    return None
+
+
+def _real(value: Any, *path: str | int) -> float:
+    """A JSON number that must fit a float."""
+    if type(value) not in _NUMBERS:
+        raise _expected("a number", value, *path)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError("number too large for a float", *path) from None
+
+
+def _reals(items: Any, *path: str | int) -> list[float]:
+    if type(items) is not list:
+        raise _expected("an array of numbers", items, *path)
+    return [_real(x, *path, i) for i, x in enumerate(items)]
+
+
+def _rows(doc: dict, key: str, default: Any = _REQUIRED) -> list[list[float]] | None:
+    """The array of number arrays at `key`: a matrix, or rows of a sequence."""
+    rows = _field(doc, key, list, default)
+    return None if rows is None else [_reals(row, key, i) for i, row in enumerate(rows)]
+
+
+def _time_fault(t: Any) -> FormatError | None:
+    if type(t) is bool:  # a JSON boolean is not a time, though ticks(True) is 1 s
+        return _expected("a time", t)
+    try:
+        ticks(t)
+    except (TypeError, ValueError) as exc:
+        return FormatError(str(exc))
+    return None
+
+
+def _pair_fault(pair: Any) -> FormatError | None:
+    """What is wrong with a [lo, hi] pair of times, or None."""
+    fault = _array_fault(pair, 2, "a [lo, hi] pair of times")
+    if fault is not None:
+        return fault
+    for j, t in enumerate(pair):
+        fault = _time_fault(t)
+        if fault is not None:
+            return fault.within(j)
+    return None
+
+
+def time_pairs_from_json(doc: Any) -> list:
+    """An array of [lo, hi] time pairs, each time as a time set takes it."""
+    if type(doc) is not list:
+        raise _expected("an array of [lo, hi] pairs", doc)
+    for i, pair in enumerate(doc):
+        fault = _pair_fault(pair)
+        if fault is not None:
+            raise fault.within(i)
+    return doc
 
 
 def timeset_to_json(ts: TimeSet) -> dict:
@@ -35,11 +217,41 @@ def timeset_to_json(ts: TimeSet) -> dict:
     }
 
 
-def timeset_from_json(obj: dict) -> TimeSet:
-    return TimeSet(
-        intervals=obj.get("intervals", []),
-        points=obj.get("points", []),
-    )
+def timeset_from_json(obj: Any) -> TimeSet:
+    """A time set: an object with arrays "intervals" of [lo, hi] pairs and
+    "points", both empty when absent."""
+    intervals = points = None
+    if type(obj) is dict:
+        intervals = obj.get("intervals", _NO_ITEMS)
+        points = obj.get("points", _NO_ITEMS)
+    # a cheap test of the usual types first; `_check_timeset` is exact
+    if not (
+        type(intervals) is list
+        and type(points) is list
+        and _ARRAYS.issuperset(map(type, intervals))
+        and _SCALARS.issuperset(map(type, points))
+        and _SCALARS.issuperset(map(type, chain.from_iterable(intervals)))
+    ):
+        _check_timeset(obj)
+    try:
+        return TimeSet(intervals, points)
+    except (TypeError, ValueError) as exc:
+        _check_timeset(obj)
+        raise FormatError(str(exc)) from None  # lo > hi, or no interval and no point
+
+
+def _check_timeset(obj: Any) -> None:
+    """Raise the first fault of a time-set document's fields, pairs or times."""
+    intervals = _field(_object(obj), "intervals", list, _NO_ITEMS)
+    points = _field(obj, "points", list, _NO_ITEMS)
+    for i, pair in enumerate(intervals):
+        fault = _pair_fault(pair)
+        if fault is not None:
+            raise fault.within("intervals", i)
+    for i, t in enumerate(points):
+        fault = _time_fault(t)
+        if fault is not None:
+            raise fault.within("points", i)
 
 
 def entry_to_json(entry: StateEntry) -> dict:
@@ -53,12 +265,47 @@ def entry_to_json(entry: StateEntry) -> dict:
     }
 
 
-def entry_from_json(obj: dict) -> StateEntry:
-    return oitkit.model.StateEntry(
-        subjects=obj["subjects"],
-        time=timeset_from_json(obj["time"]),
-        value=obj["value"],
-    )
+def entry_from_json(obj: Any) -> StateEntry:
+    """A state or reflection entry: "subjects", an array of strings; "time",
+    a time set; and "value", a string, a number or an array of numbers."""
+    subjects = time = value = None
+    if type(obj) is dict:
+        subjects = obj.get("subjects")
+        time = obj.get("time")
+        value = obj.get("value")
+    # a cheap test of the usual types first; `_check_entry` is exact
+    if not (
+        type(subjects) is list
+        and _STRINGS.issuperset(map(type, subjects))
+        and type(time) is dict
+        and (
+            type(value) in _SCALARS
+            or type(value) is list and _NUMBERS.issuperset(map(type, value))
+        )
+    ):
+        _check_entry(obj)
+    try:
+        time = timeset_from_json(time)
+    except FormatError as exc:
+        raise exc.within("time")
+    try:
+        return oitkit.model.StateEntry(subjects, time, value)
+    except TypeError as exc:
+        raise FormatError(str(exc), "value") from None
+
+
+def _check_entry(obj: Any) -> None:
+    """Raise the first fault of an entry document's fields, but for those
+    of its time set, which `timeset_from_json` finds."""
+    _all(_field(_object(obj), "subjects", list), _STRINGS, "a string", "subjects")
+    _field(obj, "time")
+    value = _field(obj, "value")
+    # a JSON boolean is not a number, though Python's bool is an int
+    what = "a string, a number or an array of numbers"
+    if type(value) is bool:
+        raise _expected(what, value, "value")
+    if type(value) is list and bool in map(type, value):
+        raise FormatError(f"expected {what}, got an array holding a boolean", "value")
 
 
 def measures_to_json(measures: MeasureAssignment) -> dict:
@@ -70,14 +317,43 @@ def measures_to_json(measures: MeasureAssignment) -> dict:
     }
 
 
-def measures_from_json(obj: dict | None) -> MeasureAssignment:
-    obj = obj or {}
-    return oitkit.model.MeasureAssignment(
-        noumenon=obj.get("noumenon", {}),
-        carrier=obj.get("carrier", {}),
-        reflection=obj.get("reflection", {}),
-        reflection_unit=obj.get("reflection_unit", "bit"),
+def measures_from_json(obj: Any) -> MeasureAssignment:
+    """Measure tables: objects "noumenon", "carrier" and "reflection" (keyed
+    by reflection index), each empty when absent, and "reflection_unit".
+    The measures themselves are `validate`'s to check."""
+    _object(obj)
+    noumenon, carrier, reflection = (
+        _field(obj, key, dict, {}) for key in ("noumenon", "carrier", "reflection")
     )
+    unit = _field(obj, "reflection_unit", str, "bit")
+    try:
+        return oitkit.model.MeasureAssignment(noumenon, carrier, reflection, unit)
+    except TypeError as exc:
+        for key in reflection:
+            try:
+                oitkit.model.key_index(key)
+            except TypeError as fault:
+                raise FormatError(str(fault), "reflection", key) from None
+        raise FormatError(str(exc), "reflection") from None
+
+
+def _copy_from_json(obj: Any):
+    _object(obj)
+    return oitkit.model.CopyRecord(_field(obj, "carrier_measure"), _field(obj, "weight", None, 1))
+
+
+def _mapping_fault(mapping: list, error: Exception) -> FormatError:
+    """The first pair of `mapping` that is not a pair of indices."""
+    for i, pair in enumerate(mapping):
+        fault = _array_fault(pair, 2, "an [s, r] pair of indices", "mapping", i)
+        if fault is not None:
+            return fault
+        for j, index in enumerate(pair):
+            try:
+                oitkit.model.as_index(index)
+            except TypeError as fault:
+                return FormatError(str(fault), "mapping", i, j)
+    return FormatError(str(error), "mapping")
 
 
 def model_to_json(model: InformationModel) -> dict:
@@ -103,30 +379,121 @@ def model_to_json(model: InformationModel) -> dict:
 
 
 def model_from_json(doc: dict) -> InformationModel:
-    copies = doc.get("copies")
-    return oitkit.model.InformationModel(
-        noumena=doc["noumena"],
-        carriers=doc["carriers"],
-        occurrence=timeset_from_json(doc["occurrence"]),
-        reflection_time=timeset_from_json(doc["reflection"]),
-        states=[entry_from_json(e) for e in doc["states"]],
-        reflections=[entry_from_json(e) for e in doc["reflections"]],
-        mapping=doc["mapping"],
-        measures=measures_from_json(doc.get("measures")),
-        copies=None
-        if copies is None
-        else [
-            oitkit.model.CopyRecord(c["carrier_measure"], c.get("weight", 1)) for c in copies
-        ],
-        enabled=doc.get("enabled", True),
-        label=doc.get("label", ""),
-    )
+    """The model a model-file document describes.
+
+    Raises `FormatError` for a missing or wrong-typed field; the model's
+    measures and its four postulates are `validate`'s to check.
+    """
+    _object(doc)
+    noumena = _all(_field(doc, "noumena", list), _STRINGS, "a string", "noumena")
+    carriers = _all(_field(doc, "carriers", list), _STRINGS, "a string", "carriers")
+    occurrence = _nested(timeset_from_json, _field(doc, "occurrence"), "occurrence")
+    reflection_time = _nested(timeset_from_json, _field(doc, "reflection"), "reflection")
+    states = _each(_field(doc, "states", list), entry_from_json, "states")
+    reflections = _each(_field(doc, "reflections", list), entry_from_json, "reflections")
+    mapping = _field(doc, "mapping", list)
+    measures = _nested(measures_from_json, _field(doc, "measures", None, {}), "measures")
+    copies = _field(doc, "copies", list, None)
+    if copies is not None:
+        copies = _each(copies, _copy_from_json, "copies")
+    enabled = _field(doc, "enabled", bool, True)
+    label = _field(doc, "label", str, "")
+    try:
+        return oitkit.model.InformationModel(
+            noumena, carriers, occurrence, reflection_time, states, reflections, mapping,
+            measures, copies, enabled, label,
+        )
+    except (TypeError, ValueError) as exc:  # every other field is read by now
+        raise _mapping_fault(mapping, exc) from None
 
 
-def chain_from_json(doc: list | dict) -> list[InformationModel]:
-    """The links of a chain document: a list of models or {"links": [...]}."""
-    links = doc if isinstance(doc, list) else doc["links"]
-    return [model_from_json(link) for link in links]
+def chain_from_json(doc: Any) -> list[InformationModel]:
+    """The links of a chain document: an array of models or {"links": [...]}."""
+    if type(doc) is list:
+        return _each(doc, model_from_json)
+    return _each(_field(_object(doc), "links", list), model_from_json, "links")
+
+
+def relation_from_json(doc: Any) -> EquivalenceRelation:
+    """A relation file: "labels", an object from state index to a label,
+    which is a string or a number."""
+    labels = _field(_object(doc), "labels", dict)
+    for key, label in labels.items():
+        try:
+            oitkit.model.key_index(key)
+        except TypeError as exc:
+            raise FormatError(str(exc), "labels", key) from None
+        if type(label) not in _SCALARS:
+            raise _expected("a string or a number", label, "labels", key)
+    return oitkit.metrics.EquivalenceRelation(labels)
+
+
+def edges_from_json(doc: Any) -> RelationSet:
+    """An edges file: "edges", an array of [i, j, label] triples of two
+    state indices and a label, which is a string or a number."""
+    edges = _field(_object(doc), "edges", list)
+    for i, edge in enumerate(edges):
+        fault = _array_fault(edge, 3, "an [i, j, label] triple", "edges", i)
+        if fault is not None:
+            raise fault
+        for j in (0, 1):
+            try:
+                oitkit.model.as_index(edge[j])
+            except TypeError as exc:
+                raise FormatError(str(exc), "edges", i, j) from None
+        if type(edge[2]) not in _SCALARS:
+            raise _expected("a string or a number", edge[2], "edges", i, 2)
+    return oitkit.metrics.RelationSet(edges)
+
+
+def search_from_json(doc: Any) -> dict:
+    """A search scenario, as the keyword arguments of `SearchSetup`:
+    "candidates", an array of models; "target", a model; "algorithm", a
+    string ("sequential" when absent); and "order_keys", all numbers or all
+    strings (none when absent)."""
+    _object(doc)
+    candidates = _each(_field(doc, "candidates", list), model_from_json, "candidates")
+    target = _nested(model_from_json, _field(doc, "target"), "target")
+    algorithm = _field(doc, "algorithm", str, "sequential")
+    order_keys = _field(doc, "order_keys", list, None)
+    if order_keys:
+        if type(order_keys[0]) is str:
+            _all(order_keys, _STRINGS, "a string", "order_keys")
+        else:
+            _all(order_keys, _NUMBERS, "a number", "order_keys")
+    return {
+        "candidates": candidates,
+        "target": target,
+        "algorithm": algorithm,
+        "order_keys": order_keys,
+    }
+
+
+def kalman_from_json(doc: Any) -> tuple[LinearSystemSpec, list, list | None]:
+    """A Kalman scenario: the system, its measurements and its inputs.
+
+    The matrices "A", "H", "Q", "R", "P0" and the optional "B" are arrays of
+    rows of numbers, "x0" is an array of numbers, and "z" and the optional
+    "U" hold one row of numbers per step. `LinearSystemSpec` checks the
+    shapes.
+    """
+    _object(doc)
+    matrices = {key: _rows(doc, key) for key in ("A", "H", "Q", "R", "P0")}
+    x0 = _reals(_field(doc, "x0"), "x0")
+    system = oitkit.classical.LinearSystemSpec(**matrices, x0=x0, B=_rows(doc, "B", None))
+    return system, _rows(doc, "z"), _rows(doc, "U", None)
+
+
+def constants_from_json(doc: Any) -> PhysicalConstants:
+    """A constants file: "name", a string ("custom" when absent), and any of
+    the constants `physics.CONSTANT_NAMES` as numbers; the others come from
+    the profile "name" names, or from "paper"."""
+    name = _field(_object(doc), "name", str, "custom")
+    physics = oitkit.physics
+    for key in physics.CONSTANT_NAMES:
+        if key in doc:
+            _real(doc[key], key)
+    return physics.constants_from_dict(doc, name=name)
 
 
 def to_json_text(obj: Any) -> str:

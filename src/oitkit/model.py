@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -44,8 +45,11 @@ _NUMBER = (int, float, Real)
 
 
 def is_finite_real(value) -> bool:
-    """True for a finite real number; ints and Fractions always are."""
-    return isinstance(value, Rational) or (isinstance(value, Real) and math.isfinite(value))
+    """True for a finite real number; ints and Fractions always are, bools
+    never."""
+    if isinstance(value, Rational):
+        return type(value) is not bool
+    return isinstance(value, Real) and math.isfinite(value)
 
 
 def as_index(value) -> int:
@@ -54,7 +58,7 @@ def as_index(value) -> int:
     if type(value) is int:
         return value
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"an index must be an integer, not {value!r}")
+        raise TypeError(f"an index must be an integer, not {reprlib.repr(value)}")
     return operator.index(value)
 
 
@@ -82,7 +86,7 @@ def value_key(value) -> tuple:
     if isinstance(value, _NUMBER):
         return ("num", value)
     raise TypeError(
-        f"value must be a string, a number or an array of numbers, got {value!r}"
+        f"value must be a string, a number or an array of numbers, got {reprlib.repr(value)}"
     )
 
 

@@ -31,7 +31,7 @@ UNIT_MASS_RATE_NOTE = (
 )
 
 
-_CONSTANTS = ("h", "C", "k_b", "G", "H0", "ly")
+CONSTANT_NAMES = ("h", "C", "k_b", "G", "H0", "ly")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class PhysicalConstants:
     ly: float  # light-year, m
 
     def __post_init__(self):
-        for fieldname in _CONSTANTS:
+        for fieldname in CONSTANT_NAMES:
             require_finite(**{fieldname: getattr(self, fieldname)})
             if getattr(self, fieldname) <= 0:
                 raise ValueError(f"constant {fieldname} must be positive")
@@ -90,12 +90,12 @@ def profile(name: str) -> PhysicalConstants:
 def constants_from_dict(data: dict, name: str = "custom") -> PhysicalConstants:
     """Constants from a document of field values; missing fields come from
     the profile `name` names, or from "paper". Unknown keys are rejected."""
-    unknown = set(data) - {"name", *_CONSTANTS}
+    unknown = set(data) - {"name", *CONSTANT_NAMES}
     if unknown:
         raise ValueError(f"unknown constants {sorted(unknown)}")
     base = PROFILES.get(name, PAPER)
     return PhysicalConstants(
-        name, **{key: float(data.get(key, getattr(base, key))) for key in _CONSTANTS}
+        name, **{key: float(data.get(key, getattr(base, key))) for key in CONSTANT_NAMES}
     )
 
 

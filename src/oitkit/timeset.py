@@ -5,12 +5,15 @@ nanoseconds for a value finer than that) and returned as `fractions.Fraction`
 seconds, so suprema, infima and Lebesgue measure are bit-stable across
 platforms. Decimal strings ("12.010") parse exactly; floats are accepted for
 convenience and go through their shortest decimal repr, so ``0.01`` means
-1/100 and not the nearest binary float.
+1/100 and not the nearest binary float. A string may carry a decimal exponent
+("1.5e3") of at most `MAX_EXPONENT` in magnitude; a larger one is refused
+before the exact value, which would need 10**exponent, is built.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,21 +25,32 @@ TimeLike = Union[int, str, float, Fraction]
 Tick = Union[int, Fraction]  # nanoseconds: an int whenever the value is whole
 
 NS = 10**9  # ticks per second
+MAX_EXPONENT = 1000  # largest |e| of a time string's decimal exponent
 
 
 def seconds(value: TimeLike) -> Fraction:
-    """Parse a time coordinate into an exact Fraction of seconds."""
+    """Parse a time coordinate into an exact Fraction of seconds.
+
+    A string whose exponent lies beyond `MAX_EXPONENT` is refused with
+    `ValueError`.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, Integral):
         return Fraction(int(value))
     if isinstance(value, str):
+        _, e, exponent = value.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+            raise ValueError(
+                f"time {reprlib.repr(value)} has an exponent beyond ±{MAX_EXPONENT}"
+            )
         return Fraction(value)
     if isinstance(value, float):
         # shortest repr keeps "0.01" exact instead of the binary neighbour;
         # float() first, as a NumPy 2 scalar's repr is "np.float64(0.01)"
         return Fraction(repr(float(value)))
-    raise TypeError(f"cannot interpret {value!r} as seconds")
+    raise TypeError(f"cannot interpret {reprlib.repr(value)} as seconds")
 
 
 def ticks(value: TimeLike) -> Tick:
@@ -128,26 +142,31 @@ class TimeSet:
         raw: list[tuple[Tick, Tick]] = []
         loose: list[Tick] = []
         for lo, hi in pairs:
-            if lo > hi:
-                raise ValueError(f"interval [{Fraction(lo, NS)}, {Fraction(hi, NS)}] has lo > hi")
-            if lo == hi:
+            if lo < hi:
+                raw.append((lo, hi))
+            elif lo == hi:
                 loose.append(lo)
             else:
-                raw.append((lo, hi))
+                raise ValueError(f"interval [{Fraction(lo, NS)}, {Fraction(hi, NS)}] has lo > hi")
         loose.extend(marks)
         if not raw and not loose:
             raise ValueError("a TimeSet must contain at least one interval or point")
 
         raw.sort()
         merged: list[tuple[Tick, Tick]] = []
-        for lo, hi in raw:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        kept = sorted({p for p in loose if not _covering(merged, p, p)})
+        last = None  # merged[-1]
+        for pair in raw:
+            if last is None or pair[0] > last[1]:
+                merged.append(pair)
+                last = pair
+            elif pair[1] > last[1]:
+                last = merged[-1] = (last[0], pair[1])
         object.__setattr__(self, "spans", tuple(merged))
-        object.__setattr__(self, "marks", tuple(kept))
+        object.__setattr__(
+            self,
+            "marks",
+            tuple(sorted({p for p in loose if not _covering(merged, p, p)})) if loose else (),
+        )
 
     @classmethod
     def point(cls, at: TimeLike) -> "TimeSet":

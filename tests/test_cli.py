@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -288,7 +289,7 @@ def test_ill_typed_inline_value_is_a_usage_error_naming_the_flag(
         ("reflection", "0", "reflection-measure-numeric"),
     ],
 )
-@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf")], ids=repr)
+@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), True], ids=repr)
 def test_ill_typed_or_non_finite_measure_exits_1_naming_the_rule(
     capsys, tmp_path, table, key, rule, bad
 ):
@@ -303,6 +304,162 @@ def test_ill_typed_or_non_finite_measure_exits_1_naming_the_rule(
     code, _, err = run(capsys, "metrics", str(path))
     assert code == 1
     assert err.startswith("error: model is invalid:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("part, rule", [("weight", "copy-weight-numeric"),
+                                        ("carrier_measure", "copy-measure-numeric")])
+def test_boolean_copy_weight_or_measure_exits_1_naming_the_rule(capsys, tmp_path, part, rule):
+    doc = json.loads(to_json_text(model_to_json(penguin_model())))
+    doc["copies"][0][part] = True
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert [v["rule"] for v in out["violations"]] == [rule]
+
+
+# A mutation of a shipped input file, the JSON path of the field it spoils,
+# and what the file's error line then says after "is not <kind> file: ".
+def _spoil(doc, path, value):
+    *outer, last = path
+    for step in outer:
+        doc = doc[step]
+    if value is DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+DROP = object()
+WRONG_FIELDS = {
+    # kind of file: (its argv, with "{}" for it; the shipped file; cases)
+    "a model": (["validate", "{}"], "penguin.json", [
+        (["noumena"], "penguin-1", "expected an array, got a string", "noumena"),
+        (["carriers", 0], 7, "expected a string, got a number", "carriers[0]"),
+        (["occurrence"], DROP, "missing field 'occurrence'", "occurrence"),
+        (["occurrence", "points"], "12", "expected an array, got a string", "occurrence.points"),
+        (["reflection", "intervals", 0], "05", "expected a [lo, hi] pair of times, got a string",
+         "reflection.intervals[0]"),
+        (["states", 0, "subjects"], "penguin-1", "expected an array, got a string",
+         "states[0].subjects"),
+        (["states", 0, "time", "intervals", 0, 1], "1e999999", "has an exponent beyond",
+         "states[0].time.intervals[0][1]"),
+        (["states", 0, "time", "intervals", 0, 1], [1], "cannot interpret [1] as seconds",
+         "states[0].time.intervals[0][1]"),
+        (["states", 0, "time", "points"], [True], "expected a time, got a boolean",
+         "states[0].time.points[0]"),
+        (["occurrence", "intervals", 0, 0], False, "expected a time, got a boolean",
+         "occurrence.intervals[0][0]"),
+        (["states", 0, "value"], True, "expected a string, a number or an array of numbers",
+         "states[0].value"),
+        (["reflections", 0, "value"], {"a": 1}, "value must be", "reflections[0].value"),
+        (["reflections", 0, "value"], [1, False], "got an array holding a boolean",
+         "reflections[0].value"),
+        (["mapping", 0], [0], "expected an [s, r] pair of indices, got 1 item", "mapping[0]"),
+        (["mapping", 0, 1], 0.5, "an index must be an integer", "mapping[0][1]"),
+        (["measures"], [], "expected an object, got an array", "measures"),
+        (["measures", "noumenon"], [], "expected an object, got an array", "measures.noumenon"),
+        (["measures", "reflection_unit"], 7, "expected a string, got a number",
+         "measures.reflection_unit"),
+        (["measures", "reflection"], {"+0": 1}, "an index must be an integer",
+         'measures.reflection["+0"]'),
+        (["copies"], {}, "expected an array, got an object", "copies"),
+        (["copies", 0, "carrier_measure"], DROP, "missing field 'carrier_measure'",
+         "copies[0].carrier_measure"),
+        (["enabled"], "false", "expected a boolean, got a string", "enabled"),
+        (["label"], 5, "expected a string, got a number", "label"),
+    ]),
+    "a chain": (["chain", "{}"], "chain3.json", [
+        (["links", 1, "noumena"], "sensor", "expected an array, got a string", "links[1].noumena"),
+        (["links"], {}, "expected an array, got an object", "links"),
+    ]),
+    "a relation": (["metrics", "{penguin}", "--relation", "{}"], "golden/relation.json", [
+        (["labels", "0"], {"a": 1}, "expected a string or a number, got an object", 'labels["0"]'),
+        (["labels", "1"], [1], "expected a string or a number, got an array", 'labels["1"]'),
+        (["labels"], [], "expected an object, got an array", "labels"),
+    ]),
+    "an edges": (["metrics", "{penguin}", "--edges", "{}"], "golden/edges.json", [
+        (["edges", 0, 2], {"a": 1}, "expected a string or a number, got an object",
+         "edges[0][2]"),
+        (["edges", 1, 2], [1], "expected a string or a number, got an array", "edges[1][2]"),
+        (["edges", 2, 0], "2", "an index must be an integer", "edges[2][0]"),
+    ]),
+    "a search scenario": (["classical", "search", "{}"], "golden/search.json", [
+        (["order_keys", 1], "x", "expected a number, got a string", "order_keys[1]"),
+        (["candidates", 2, "label"], 5, "expected a string, got a number", "candidates[2].label"),
+        (["target", "enabled"], 1, "expected a boolean, got a number", "target.enabled"),
+        (["algorithm"], 2, "expected a string, got a number", "algorithm"),
+    ]),
+    "a Kalman scenario": (["classical", "kalman", "{}"], "kalman_scalar.json", [
+        (["z"], {"a": 1}, "expected an array, got an object", "z"),
+        (["z", 1], 3.0, "expected an array of numbers, got a number", "z[1]"),
+        (["A", 0, 0], 10**400, "number too large for a float", "A[0][0]"),
+        (["x0", 0], "0", "expected a number, got a string", "x0[0]"),
+        (["P0"], DROP, "missing field 'P0'", "P0"),
+    ]),
+    "a constants": (["physics", "--constants", "{}", "universe"], "golden/constants.json", [
+        (["H0"], "4.2e-18", "expected a number, got a string", "H0"),
+        (["name"], 5, "expected a string, got a number", "name"),
+    ]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, argv, shipped, path, value, message, where",
+    [
+        pytest.param(kind, argv, shipped, *case, id=f"{kind.split()[-1]}-{case[3]}")
+        for kind, (argv, shipped, cases) in WRONG_FIELDS.items()
+        for case in cases
+    ],
+)
+def test_wrong_typed_or_missing_field_exits_2_naming_its_path(
+    capsys, fixtures_dir, tmp_path, kind, argv, shipped, path, value, message, where
+):
+    doc = json.loads((fixtures_dir / shipped).read_text())
+    _spoil(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    penguin = str(fixtures_dir / "penguin.json")
+    code, out, err = run(
+        capsys, *(str(bad) if a == "{}" else penguin if a == "{penguin}" else a for a in argv)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad} is not {kind} file: ")
+    assert message in err
+    assert err.rstrip("\n").endswith(f" (at {where})")
+
+
+@pytest.mark.parametrize(
+    "path", [["states", 0, "value"], ["occurrence", "intervals", 0, 0], ["mapping", 0, 0]]
+)
+def test_deeply_nested_field_is_a_usage_error_naming_the_file(capsys, tmp_path, path):
+    doc = json.loads(to_json_text(model_to_json(penguin_model())))
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    _spoil(doc, path, deep)
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad} is ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical", "chain-delay", "--delays", "1e999999"],
+    ["classical", "chain-delay", "--delays", "1,1e9999999"],
+    ["classical", "nyquist", "--period", "1e99999999999"],
+    ["metrics", "{penguin}", "--gaps", '[["0", "1e999999"]]'],
+])
+def test_time_flag_with_a_huge_exponent_exits_2_at_once(capsys, fixtures_dir, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *with_fixtures(fixtures_dir, argv))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "has an exponent beyond ±1000" in err
 
 
 def test_demo_runs_end_to_end(capsys):

@@ -8,7 +8,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oitkit.cli import render_text
-from oitkit.io import chain_from_json, model_from_json, model_to_json, to_json_text
+from oitkit.io import (
+    FormatError,
+    chain_from_json,
+    model_from_json,
+    model_to_json,
+    time_pairs_from_json,
+    to_json_text,
+)
 from oitkit.metrics import volume
 from oitkit.model import validate
 from oitkit.scenarios import penguin_model
@@ -63,6 +70,31 @@ def test_chain_file_accepts_bare_lists(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(to_json_text([model_to_json(link) for link in chain]))
     assert chain_from_json(_read(path)) == chain
+
+
+def test_a_wrong_typed_field_raises_format_error_with_its_path(penguin):
+    doc = model_to_json(penguin)
+    doc["states"][0]["time"]["intervals"][0][1] = [1]
+    with pytest.raises(FormatError) as caught:
+        model_from_json(doc)
+    assert isinstance(caught.value, ValueError)
+    assert caught.value.path == ("states", 0, "time", "intervals", 0, 1)
+    assert str(caught.value) == (
+        "cannot interpret [1] as seconds (at states[0].time.intervals[0][1])"
+    )
+    with pytest.raises(FormatError, match=r"got a boolean \(at \[1\]\[0\]\)$"):
+        time_pairs_from_json([[1, 2], [True, 3]])
+
+
+def test_library_numbers_in_a_document_read_as_before(penguin):
+    """Fractions are no JSON type, but a document built in Python may hold
+    them; they take the exact check's path and read as their strings do."""
+    doc = model_to_json(penguin)
+    doc["occurrence"]["intervals"] = [[Fraction(0), Fraction(1, 100)]]
+    doc["reflections"][0]["value"] = [Fraction(1, 3), 2]
+    as_text = model_to_json(penguin)
+    as_text["reflections"][0]["value"] = [Fraction(1, 3), 2]
+    assert model_from_json(doc) == model_from_json(as_text)
 
 
 def test_json_text_is_deterministic(penguin):

@@ -71,6 +71,28 @@ def test_seconds_str_digit_count_does_not_search():
     assert elapsed < 0.1  # a search over 10**k, k = 0, 1, ..., takes about 0.4 s
 
 
+@pytest.mark.parametrize(
+    "text", ["1e1001", "-1e1001", "1E-1001", "1e+99999", "1e999999", "1e9999999", "2.5e1_001"]
+)
+def test_exponent_past_the_cap_is_refused_before_parsing(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="has an exponent beyond ±1000"):
+        seconds(text)
+    with pytest.raises(ValueError, match="has an exponent beyond ±1000"):
+        ticks(text)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize(
+    "text, exact",
+    [("1e1000", Fraction(10**1000)), ("-2.5E-1000", Fraction(-25, 10**1001)),
+     ("1e0001000", Fraction(10**1000)), ("3e-0", Fraction(3))],
+)
+def test_exponent_up_to_the_cap_parses_exactly(text, exact):
+    assert seconds(text) == exact
+    assert ticks(text) == exact * NS
+
+
 @pytest.mark.parametrize("value", [Decimal("1.5"), [1], None, 1j])
 def test_unsupported_time_types_raise_type_error(value):
     with pytest.raises(TypeError):
