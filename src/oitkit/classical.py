@@ -312,17 +312,20 @@ def kalman_filter(
     x = system.x0.copy()
     P = system.P0.copy()
     out: list[KalmanStep] = []
-    for k in range(steps):
-        x_pred = system.A @ x
-        if system.B is not None:
-            x_pred = x_pred + system.B @ u[k]
-        P_pred = system.A @ P @ system.A.T + system.Q
-        S = system.H @ P_pred @ system.H.T + system.R
-        gain = _spd_solve(S, system.H @ P_pred).T
-        x = x_pred + gain @ (z[k] - system.H @ x_pred)
-        P = (identity - gain @ system.H) @ P_pred
-        P = (P + P.T) / 2
-        out.append(KalmanStep(x.copy(), P.copy(), gain.copy()))
+    # a number that overflows raises FloatingPointError, an ArithmeticError,
+    # in place of going on with inf and NaN estimates
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for k in range(steps):
+            x_pred = system.A @ x
+            if system.B is not None:
+                x_pred = x_pred + system.B @ u[k]
+            P_pred = system.A @ P @ system.A.T + system.Q
+            S = system.H @ P_pred @ system.H.T + system.R
+            gain = _spd_solve(S, system.H @ P_pred).T
+            x = x_pred + gain @ (z[k] - system.H @ x_pred)
+            P = (identity - gain @ system.H) @ P_pred
+            P = (P + P.T) / 2
+            out.append(KalmanStep(x.copy(), P.copy(), gain.copy()))
     return out
 
 

@@ -6,8 +6,10 @@ parsed arguments into a report dict. A row without `run` is a group, whose
 arguments are flags given before the subcommand (``physics --constants``).
 `build_parser` builds the argparse tree from the table in one loop; `main` runs
 the chosen row and emits its report as JSON text, or as a text view rendered
-from that text. Every file argument is read by `read_file`, with the reader
-that `io` has for its kind; this module knows nothing of a file's fields.
+from that text. Every JSON input is read by an `io` reader: a file argument
+through `read_file`, with the reader `io` has for its kind, and a flag's
+JSON text through `inline`; this module knows nothing of a file's fields or
+of what a state value or a time may be.
 Exit codes: 0 success, 1 domain error (invalid model, missing measure,
 non-restorable mapping, ...; also any report whose `valid` field is false),
 2 usage error (unknown flags; a flag value that does not parse; a file that is
@@ -43,6 +45,7 @@ from .io import (
     search_from_json,
     time_pairs_from_json,
     to_json_text,
+    value_from_json,
 )
 from .timeset import seconds
 
@@ -83,17 +86,10 @@ def reader(kind: str, convert: Callable[[Any], Any]) -> Callable[[str], Any]:
     return lambda path: read_file(path, kind, convert)
 
 
-def inline_value(text: str) -> Any:
-    """A state value given inline as JSON: a string, a number or an array of
-    numbers."""
-    value = json.loads(text)
-    oitkit.model.value_key(value)
-    return value
-
-
-def time_pairs(text: str) -> list:
-    """A JSON list of [a, b] time pairs, such as '[[1, 2], ["3.5", 4]]'."""
-    return time_pairs_from_json(json.loads(text))
+def inline(convert: Callable[[Any], Any]) -> Callable[[str], Any]:
+    """Parse a flag's JSON text, such as '[[1, 2], ["3.5", 4]]', and turn it
+    into a value with the `io` reader `convert`."""
+    return lambda text: convert(json.loads(text))
 
 
 def listed(parse: Callable[[str], Any]) -> Callable[[str], list]:
@@ -343,8 +339,8 @@ def flag_arg(flag: str, kind: tuple[str, Callable[[str], Any]], **options) -> tu
     return arg(flag, type=convert, **options)
 
 
-STATE_VALUE = ("a state value", inline_value)
-TIME_PAIRS = ("a list of time pairs", time_pairs)
+STATE_VALUE = ("a state value", inline(value_from_json))
+TIME_PAIRS = ("a list of time pairs", inline(time_pairs_from_json))
 NUMBERS = ("a list of numbers", listed(float))
 TIMES = ("a list of times", listed(seconds))
 MODEL_FILE = reader("a model", model_from_json)

@@ -1,12 +1,14 @@
 """Input documents and report serialization.
 
-Every input file oitkit reads is read here, by one reader per kind:
-`model_from_json` (a model file), `chain_from_json`, `relation_from_json`,
-`edges_from_json`, `search_from_json`, `kalman_from_json` and
-`constants_from_json`; `time_pairs_from_json` reads the JSON of the `--gaps`
-and `--sessions` flags. A reader checks the JSON type of every field it reads
-and fills in every default. A field that is missing or of the wrong type
-raises `FormatError`, a `ValueError` that names the field's JSON path. What
+Every JSON input oitkit reads, a file or a flag's value, is read here, by
+one reader per kind: `model_from_json` (a model file), `chain_from_json`,
+`relation_from_json`, `edges_from_json`, `search_from_json`,
+`kalman_from_json` and `constants_from_json`; `time_pairs_from_json` reads
+the `--gaps` and `--sessions` flags and `value_from_json` the `--restored`
+and `--truth` flags, by the rules the model file's times and values follow.
+A reader checks the JSON type of every field it reads and fills in every
+default. A field that is missing or of the wrong type raises `FormatError`,
+a `ValueError` that names the field's JSON path. What
 the values mean is checked later: a model's measures and its four postulates
 by `model.validate`, a Kalman system's shapes by `LinearSystemSpec`, a
 constant's sign by `PhysicalConstants`.
@@ -29,7 +31,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
 
 import oitkit
 
@@ -94,14 +96,15 @@ _NO_ITEMS: list = []  # the default of an absent array; never mutated
 _REQUIRED = object()
 
 
-def _expected(what: str, value: Any, *path: str | int) -> FormatError:
+def _reject(what: str, value: Any, *path: str | int) -> NoReturn:
+    """Raise: expected `what` at `path`, got `value`'s JSON type."""
     got = _JSON_TYPES.get(type(value), type(value).__name__)
-    return FormatError(f"expected {what}, got {got}", *path)
+    raise FormatError(f"expected {what}, got {got}", *path)
 
 
 def _object(doc: Any) -> dict:
     if type(doc) is not dict:
-        raise _expected("an object", doc)
+        _reject("an object", doc)
     return doc
 
 
@@ -114,7 +117,7 @@ def _field(doc: dict, key: str, kind: type | None = None, default: Any = _REQUIR
             raise FormatError(f"missing field {key!r}", key)
         return default
     if kind is not None and type(value) is not kind:
-        raise _expected(_JSON_TYPES[kind], value, key)
+        _reject(_JSON_TYPES[kind], value, key)
     return value
 
 
@@ -122,19 +125,19 @@ def _all(items: list, kinds: set, what: str, *path: str | int) -> list:
     """`items`, each of which must be of a type in `kinds`."""
     if not kinds.issuperset(map(type, items)):
         i = next(i for i, x in enumerate(items) if type(x) not in kinds)
-        raise _expected(what, items[i], *path, i)
+        _reject(what, items[i], *path, i)
     return items
 
 
 def _each(items: list, read, *path: str | int) -> list:
     """`read` of each item, an error naming the item's index."""
+    out: list = []
     try:
-        return [read(item) for item in items]
-    except FormatError:
-        pass
-    for i, item in enumerate(items):  # again, counting, to find the item
-        _nested(read, item, *path, i)
-    raise AssertionError("unreachable: an item failed once and not again")
+        for item in items:
+            out.append(read(item))
+    except FormatError as exc:
+        raise exc.within(*path, len(out))
+    return out
 
 
 def _nested(read, value: Any, *path: str | int) -> Any:
@@ -145,20 +148,29 @@ def _nested(read, value: Any, *path: str | int) -> Any:
         raise exc.within(*path)
 
 
-def _array_fault(value: Any, size: int, what: str, *path: str | int) -> FormatError | None:
-    """What keeps `value` from being an array of `size` items, or None."""
+def _checked(check, value: Any, *path: str | int) -> Any:
+    """`check(value)` of one of `model`'s checks, its `TypeError` an error at
+    `path`."""
+    try:
+        return check(value)
+    except TypeError as exc:
+        raise FormatError(str(exc), *path) from None
+
+
+def _array(value: Any, size: int, what: str) -> list:
+    """`value`, which must be an array of `size` items."""
     if type(value) is not list:
-        return _expected(what, value, *path)
+        _reject(what, value)
     if len(value) != size:
         items = "item" if len(value) == 1 else "items"
-        return FormatError(f"expected {what}, got {len(value)} {items}", *path)
-    return None
+        raise FormatError(f"expected {what}, got {len(value)} {items}")
+    return value
 
 
 def _real(value: Any, *path: str | int) -> float:
     """A JSON number that must fit a float."""
     if type(value) not in _NUMBERS:
-        raise _expected("a number", value, *path)
+        _reject("a number", value, *path)
     try:
         return float(value)
     except OverflowError:
@@ -167,7 +179,7 @@ def _real(value: Any, *path: str | int) -> float:
 
 def _reals(items: Any, *path: str | int) -> list[float]:
     if type(items) is not list:
-        raise _expected("an array of numbers", items, *path)
+        _reject("an array of numbers", items, *path)
     return [_real(x, *path, i) for i, x in enumerate(items)]
 
 
@@ -177,37 +189,29 @@ def _rows(doc: dict, key: str, default: Any = _REQUIRED) -> list[list[float]] | 
     return None if rows is None else [_reals(row, key, i) for i, row in enumerate(rows)]
 
 
-def _time_fault(t: Any) -> FormatError | None:
+def _time(t: Any, *path: str | int) -> Any:
+    """`t`, which must be a time: a string or a number that `ticks` reads."""
     if type(t) is bool:  # a JSON boolean is not a time, though ticks(True) is 1 s
-        return _expected("a time", t)
+        _reject("a time", t, *path)
     try:
         ticks(t)
     except (TypeError, ValueError) as exc:
-        return FormatError(str(exc))
-    return None
+        raise FormatError(str(exc), *path) from None
+    return t
 
 
-def _pair_fault(pair: Any) -> FormatError | None:
-    """What is wrong with a [lo, hi] pair of times, or None."""
-    fault = _array_fault(pair, 2, "a [lo, hi] pair of times")
-    if fault is not None:
-        return fault
-    for j, t in enumerate(pair):
-        fault = _time_fault(t)
-        if fault is not None:
-            return fault.within(j)
-    return None
+def _time_pair(pair: Any) -> list:
+    _array(pair, 2, "a [lo, hi] pair of times")
+    _time(pair[0], 0)
+    _time(pair[1], 1)
+    return pair
 
 
 def time_pairs_from_json(doc: Any) -> list:
     """An array of [lo, hi] time pairs, each time as a time set takes it."""
     if type(doc) is not list:
-        raise _expected("an array of [lo, hi] pairs", doc)
-    for i, pair in enumerate(doc):
-        fault = _pair_fault(pair)
-        if fault is not None:
-            raise fault.within(i)
-    return doc
+        _reject("an array of [lo, hi] pairs", doc)
+    return _each(doc, _time_pair)
 
 
 def timeset_to_json(ts: TimeSet) -> dict:
@@ -244,14 +248,8 @@ def _check_timeset(obj: Any) -> None:
     """Raise the first fault of a time-set document's fields, pairs or times."""
     intervals = _field(_object(obj), "intervals", list, _NO_ITEMS)
     points = _field(obj, "points", list, _NO_ITEMS)
-    for i, pair in enumerate(intervals):
-        fault = _pair_fault(pair)
-        if fault is not None:
-            raise fault.within("intervals", i)
-    for i, t in enumerate(points):
-        fault = _time_fault(t)
-        if fault is not None:
-            raise fault.within("points", i)
+    _nested(time_pairs_from_json, intervals, "intervals")
+    _each(points, _time, "points")
 
 
 def entry_to_json(entry: StateEntry) -> dict:
@@ -284,14 +282,7 @@ def entry_from_json(obj: Any) -> StateEntry:
         )
     ):
         _check_entry(obj)
-    try:
-        time = timeset_from_json(time)
-    except FormatError as exc:
-        raise exc.within("time")
-    try:
-        return oitkit.model.StateEntry(subjects, time, value)
-    except TypeError as exc:
-        raise FormatError(str(exc), "value") from None
+    return oitkit.model.StateEntry(subjects, _nested(timeset_from_json, time, "time"), value)
 
 
 def _check_entry(obj: Any) -> None:
@@ -299,13 +290,20 @@ def _check_entry(obj: Any) -> None:
     of its time set, which `timeset_from_json` finds."""
     _all(_field(_object(obj), "subjects", list), _STRINGS, "a string", "subjects")
     _field(obj, "time")
-    value = _field(obj, "value")
-    # a JSON boolean is not a number, though Python's bool is an int
+    _nested(value_from_json, _field(obj, "value"), "value")
+
+
+def value_from_json(value: Any) -> Any:
+    """A state value: a string, a number or an array of numbers. A JSON
+    boolean is none of these, though Python's bool is an int; the rest of
+    the rule is `model.value_key`'s."""
     what = "a string, a number or an array of numbers"
     if type(value) is bool:
-        raise _expected(what, value, "value")
+        _reject(what, value)
     if type(value) is list and bool in map(type, value):
-        raise FormatError(f"expected {what}, got an array holding a boolean", "value")
+        raise FormatError(f"expected {what}, got an array holding a boolean")
+    _checked(oitkit.model.value_key, value)
+    return value
 
 
 def measures_to_json(measures: MeasureAssignment) -> dict:
@@ -330,10 +328,7 @@ def measures_from_json(obj: Any) -> MeasureAssignment:
         return oitkit.model.MeasureAssignment(noumenon, carrier, reflection, unit)
     except TypeError as exc:
         for key in reflection:
-            try:
-                oitkit.model.key_index(key)
-            except TypeError as fault:
-                raise FormatError(str(fault), "reflection", key) from None
+            _checked(oitkit.model.key_index, key, "reflection", key)
         raise FormatError(str(exc), "reflection") from None
 
 
@@ -342,18 +337,12 @@ def _copy_from_json(obj: Any):
     return oitkit.model.CopyRecord(_field(obj, "carrier_measure"), _field(obj, "weight", None, 1))
 
 
-def _mapping_fault(mapping: list, error: Exception) -> FormatError:
-    """The first pair of `mapping` that is not a pair of indices."""
-    for i, pair in enumerate(mapping):
-        fault = _array_fault(pair, 2, "an [s, r] pair of indices", "mapping", i)
-        if fault is not None:
-            return fault
-        for j, index in enumerate(pair):
-            try:
-                oitkit.model.as_index(index)
-            except TypeError as fault:
-                return FormatError(str(fault), "mapping", i, j)
-    return FormatError(str(error), "mapping")
+def _indices(items: Any, size: int, what: str) -> list:
+    """`items`, an array of `size` items whose first two are indices."""
+    _array(items, size, what)
+    _checked(oitkit.model.as_index, items[0], 0)
+    _checked(oitkit.model.as_index, items[1], 1)
+    return items
 
 
 def model_to_json(model: InformationModel) -> dict:
@@ -404,7 +393,8 @@ def model_from_json(doc: dict) -> InformationModel:
             measures, copies, enabled, label,
         )
     except (TypeError, ValueError) as exc:  # every other field is read by now
-        raise _mapping_fault(mapping, exc) from None
+        _each(mapping, lambda pair: _indices(pair, 2, "an [s, r] pair of indices"), "mapping")
+        raise FormatError(str(exc), "mapping") from None
 
 
 def chain_from_json(doc: Any) -> list[InformationModel]:
@@ -419,31 +409,24 @@ def relation_from_json(doc: Any) -> EquivalenceRelation:
     which is a string or a number."""
     labels = _field(_object(doc), "labels", dict)
     for key, label in labels.items():
-        try:
-            oitkit.model.key_index(key)
-        except TypeError as exc:
-            raise FormatError(str(exc), "labels", key) from None
+        _checked(oitkit.model.key_index, key, "labels", key)
         if type(label) not in _SCALARS:
-            raise _expected("a string or a number", label, "labels", key)
+            _reject("a string or a number", label, "labels", key)
     return oitkit.metrics.EquivalenceRelation(labels)
 
 
 def edges_from_json(doc: Any) -> RelationSet:
     """An edges file: "edges", an array of [i, j, label] triples of two
     state indices and a label, which is a string or a number."""
-    edges = _field(_object(doc), "edges", list)
-    for i, edge in enumerate(edges):
-        fault = _array_fault(edge, 3, "an [i, j, label] triple", "edges", i)
-        if fault is not None:
-            raise fault
-        for j in (0, 1):
-            try:
-                oitkit.model.as_index(edge[j])
-            except TypeError as exc:
-                raise FormatError(str(exc), "edges", i, j) from None
-        if type(edge[2]) not in _SCALARS:
-            raise _expected("a string or a number", edge[2], "edges", i, 2)
+    edges = _each(_field(_object(doc), "edges", list), _edge, "edges")
     return oitkit.metrics.RelationSet(edges)
+
+
+def _edge(edge: Any) -> list:
+    _indices(edge, 3, "an [i, j, label] triple")
+    if type(edge[2]) not in _SCALARS:
+        _reject("a string or a number", edge[2], 2)
+    return edge
 
 
 def search_from_json(doc: Any) -> dict:

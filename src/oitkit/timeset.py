@@ -31,8 +31,8 @@ MAX_EXPONENT = 1000  # largest |e| of a time string's decimal exponent
 def seconds(value: TimeLike) -> Fraction:
     """Parse a time coordinate into an exact Fraction of seconds.
 
-    A string whose exponent lies beyond `MAX_EXPONENT` is refused with
-    `ValueError`.
+    A string whose exponent lies beyond `MAX_EXPONENT`, or whose
+    denominator is zero ("1/0"), is refused with `ValueError`.
     """
     if isinstance(value, Fraction):
         return value
@@ -45,7 +45,10 @@ def seconds(value: TimeLike) -> Fraction:
             raise ValueError(
                 f"time {reprlib.repr(value)} has an exponent beyond ±{MAX_EXPONENT}"
             )
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"time {reprlib.repr(value)} has a zero denominator") from None
     if isinstance(value, float):
         # shortest repr keeps "0.01" exact instead of the binary neighbour;
         # float() first, as a NumPy 2 scalar's repr is "np.float64(0.01)"

@@ -347,6 +347,12 @@ def test_kalman_measurement_dimension_checked():
         kalman_filter(system, [[1, 2]])
 
 
+def test_kalman_overflow_raises_floating_point_error():
+    system = LinearSystemSpec(A=[[1]], H=[[1]], Q=[[1e308]], R=[[1]], x0=[0], P0=[[1e308]])
+    with pytest.raises(FloatingPointError, match="overflow encountered in add"):
+        kalman_filter(system, [[1], [3]])
+
+
 def test_spd_solve_rejects_singular_innovation():
     with pytest.raises(SingularInnovationError):
         _spd_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,20 @@ def test_classical_kalman_trace(capsys, fixtures_dir):
     assert doc["steps"][0]["x"][0] == pytest.approx(0.5, abs=1e-12)
     assert doc["steps"][1]["x"][0] == pytest.approx(4 / 3, abs=1e-12)
     assert doc["steps"][1]["P"][0][0] == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_kalman_overflow_exits_1_without_numpy_warnings(capsys, fixtures_dir, tmp_path):
+    doc = json.loads((fixtures_dir / "kalman_scalar.json").read_text())
+    doc["Q"] = doc["P0"] = [[1e308]]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "classical", "kalman", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: arithmetic failed: overflow encountered in add\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_classical_checks_on_model_files(capsys, fixtures_dir, tmp_path):
@@ -281,6 +296,29 @@ def test_ill_typed_inline_value_is_a_usage_error_naming_the_flag(
     assert err.startswith(f"error: {flag} is not a state value")
 
 
+@pytest.mark.parametrize("flag", ["--restored", "--truth"])
+@pytest.mark.parametrize("value", [True, [1, False], {"a": 1}, [1, None]], ids=repr)
+def test_a_flag_value_follows_the_rule_of_a_file_value(
+    capsys, fixtures_dir, tmp_path, value, flag
+):
+    model = fixtures_dir / "penguin.json"
+    doc = json.loads(model.read_text())
+    doc["states"][0]["value"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    reason = err.removeprefix(f"error: {path} is not a model file: ")
+    assert reason.endswith(" (at states[0].value)\n")
+    reason = reason.removesuffix(" (at states[0].value)\n")
+    values = ["--restored", "[1, 2]", "--truth", "[1, 3]"]
+    values[values.index(flag) + 1] = json.dumps(value)
+    code, out, err = run(capsys, "metrics", str(model), *values)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} is not a state value: {reason}\n"
+
+
 @pytest.mark.parametrize(
     "table, key, rule",
     [
@@ -346,6 +384,8 @@ WRONG_FIELDS = {
          "states[0].time.intervals[0][1]"),
         (["states", 0, "time", "intervals", 0, 1], [1], "cannot interpret [1] as seconds",
          "states[0].time.intervals[0][1]"),
+        (["states", 0, "time", "intervals", 0, 0], "1/0", "time '1/0' has a zero denominator",
+         "states[0].time.intervals[0][0]"),
         (["states", 0, "time", "points"], [True], "expected a time, got a boolean",
          "states[0].time.points[0]"),
         (["occurrence", "intervals", 0, 0], False, "expected a time, got a boolean",
@@ -460,6 +500,19 @@ def test_time_flag_with_a_huge_exponent_exits_2_at_once(capsys, fixtures_dir, ar
     assert code == 2
     assert out == ""
     assert "has an exponent beyond ±1000" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classical", "chain-delay", "--delays", "1,1/0"], "--delays"),
+    (["classical", "nyquist", "--period", "1/0"], "--period"),
+    (["metrics", "{penguin}", "--gaps", '[["1/0", 2]]'], "--gaps"),
+])
+def test_time_flag_with_a_zero_denominator_is_a_usage_error(capsys, fixtures_dir, argv, flag):
+    code, out, err = run(capsys, *with_fixtures(fixtures_dir, argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} is not ")
+    assert "time '1/0' has a zero denominator" in err
 
 
 def test_demo_runs_end_to_end(capsys):

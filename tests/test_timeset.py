@@ -83,6 +83,11 @@ def test_exponent_past_the_cap_is_refused_before_parsing(text):
     assert time.perf_counter() - start < 0.05
 
 
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="time '1/0' has a zero denominator"):
+        ticks("1/0")
+
+
 @pytest.mark.parametrize(
     "text, exact",
     [("1e1000", Fraction(10**1000)), ("-2.5E-1000", Fraction(-25, 10**1001)),
