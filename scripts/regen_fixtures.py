@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Regenerate the shipped fixture files from the built-in scenarios."""
 
-import json
 from pathlib import Path
 
 from oitkit.io import model_to_json, to_json_text
@@ -19,7 +18,7 @@ def main() -> None:
         to_json_text({"links": [model_to_json(link) for link in chain3_models()]}) + "\n"
     )
     (FIXTURES / "kalman_scalar.json").write_text(
-        json.dumps(kalman_scalar_scenario(), indent=2, sort_keys=True) + "\n"
+        to_json_text(kalman_scalar_scenario()) + "\n"
     )
     (FIXTURES / "network4.json").write_text(
         to_json_text(model_to_json(network_model(4))) + "\n"

@@ -11,7 +11,6 @@ average-search-length accounting for minimum-mismatch lookup.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -225,6 +224,10 @@ class LinearSystemSpec:
     def _check(self) -> None:
         import numpy as np
 
+        for f in fields(self):
+            mat = getattr(self, f.name)
+            if mat is not None and not np.isfinite(mat).all():
+                raise ValueError(f"{f.name} must hold only finite numbers")
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
@@ -296,6 +299,8 @@ def kalman_filter(
     z = np.atleast_2d(np.asarray(measurements, dtype=float))
     if z.shape[1] != system.measurement_dim:
         raise ValueError("measurement rows must match the measurement dimension")
+    if not np.isfinite(z).all():
+        raise ValueError("measurements must be finite numbers")
     steps = z.shape[0]
     if steps < 1:
         raise ValueError("at least one measurement is required")
@@ -305,6 +310,8 @@ def kalman_filter(
             raise ValueError("inputs supplied but the system has no input matrix")
         if u.shape != (steps, system.B.shape[1]):
             raise ValueError("inputs must be one row per step, matching B's columns")
+        if not np.isfinite(u).all():
+            raise ValueError("inputs must be finite numbers")
     elif system.B is not None:
         raise ValueError("system has an input matrix but no inputs were supplied")
 
@@ -428,18 +435,10 @@ def _visit_order(setup: SearchSetup) -> list[int]:
     order = list(range(n))
     if setup.order_keys is not None:
         order.sort(key=lambda i: setup.order_keys[i])
-    # level-order walk of the binary search tree over the sorted candidates
-    out: list[int] = []
-    queue: deque[tuple[int, int]] = deque([(0, n - 1)])
-    while queue:
-        lo, hi = queue.popleft()
-        if lo > hi:
-            continue
-        mid = (lo + hi) // 2
-        out.append(order[mid])
-        queue.append((lo, mid - 1))
-        queue.append((mid + 1, hi))
-    return out
+    # level order of the binary search tree over the sorted candidates: by
+    # depth, and by position within a depth (the sort is stable)
+    depths = _bisection_depths(n)
+    return [order[slot] for slot in sorted(range(n), key=depths.__getitem__)]
 
 
 def search_min_mismatch(setup: SearchSetup) -> SearchResult:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable
 
@@ -131,14 +132,18 @@ def emit(report: dict, args) -> None:
     text = to_json_text(report)
     if args.format == "text":
         text = render_text(json.loads(text))
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not args.output:
+            # the interpreter flushes stdout again as it exits; a closed pipe
+            # would make that flush print a second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {args.output or 'stdout'}: {exc.strerror}") from exc
 
 
 def _violations(found) -> list[dict]:

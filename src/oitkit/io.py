@@ -8,10 +8,13 @@ the `--gaps` and `--sessions` flags and `value_from_json` the `--restored`
 and `--truth` flags, by the rules the model file's times and values follow.
 A reader checks the JSON type of every field it reads and fills in every
 default. A field that is missing or of the wrong type raises `FormatError`,
-a `ValueError` that names the field's JSON path. What
-the values mean is checked later: a model's measures and its four postulates
-by `model.validate`, a Kalman system's shapes by `LinearSystemSpec`, a
-constant's sign by `PhysicalConstants`.
+a `ValueError` that names the field's JSON path. Each time set and each
+entry is read in one walk, which checks every field as it reads it and
+reads each time once, straight into ticks; a model's mapping and reflection
+keys, whose rule `model` owns, are located only once `model` refuses them.
+What the values mean is checked later: a model's measures and its four
+postulates by `model.validate`, a Kalman system's shapes and finiteness by
+`LinearSystemSpec`, a constant's sign by `PhysicalConstants`.
 
 A model file is a JSON object with the keys noumena, carriers, occurrence,
 reflection, states, reflections, mapping, copies, measures, enabled and
@@ -29,13 +32,12 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, NoReturn
 
 import oitkit
 
-from .timeset import TimeSet, seconds_str, tick_str, ticks
+from .timeset import Tick, TimeSet, seconds_str, tick_str, ticks
 
 # The readers reach `model`, `metrics`, `classical` and `physics` through the
 # package, which imports each on first access (PEP 562), so writing a report
@@ -89,9 +91,8 @@ _JSON_TYPES = {
     type(None): "null",
 }
 _NUMBERS = {int, float}
-_SCALARS = {str, int, float}  # a string or a number: a time, a value, a label
+_SCALARS = {str, int, float}  # a string or a number: a label
 _STRINGS = {str}
-_ARRAYS = {list}
 _NO_ITEMS: list = []  # the default of an absent array; never mutated
 _REQUIRED = object()
 
@@ -189,29 +190,37 @@ def _rows(doc: dict, key: str, default: Any = _REQUIRED) -> list[list[float]] | 
     return None if rows is None else [_reals(row, key, i) for i, row in enumerate(rows)]
 
 
-def _time(t: Any, *path: str | int) -> Any:
-    """`t`, which must be a time: a string or a number that `ticks` reads."""
+def _tick(t: Any) -> Tick:
+    """The ticks of `t`, which must be a time: a string or a number that
+    `ticks` reads."""
     if type(t) is bool:  # a JSON boolean is not a time, though ticks(True) is 1 s
-        _reject("a time", t, *path)
+        _reject("a time", t)
     try:
-        ticks(t)
+        return ticks(t)
     except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc), *path) from None
-    return t
+        raise FormatError(str(exc)) from None
 
 
-def _time_pair(pair: Any) -> list:
-    _array(pair, 2, "a [lo, hi] pair of times")
-    _time(pair[0], 0)
-    _time(pair[1], 1)
-    return pair
+def _tick_pair(pair: Any) -> tuple[Tick, Tick]:
+    """The ticks of a [lo, hi] pair of times."""
+    lo, hi = _array(pair, 2, "a [lo, hi] pair of times")
+    try:
+        lo = _tick(lo)
+    except FormatError as exc:
+        raise exc.within(0)
+    try:
+        return lo, _tick(hi)
+    except FormatError as exc:
+        raise exc.within(1)
 
 
 def time_pairs_from_json(doc: Any) -> list:
-    """An array of [lo, hi] time pairs, each time as a time set takes it."""
+    """An array of [lo, hi] time pairs, each time as a time set takes it;
+    the pairs are returned as given."""
     if type(doc) is not list:
         _reject("an array of [lo, hi] pairs", doc)
-    return _each(doc, _time_pair)
+    _each(doc, _tick_pair)
+    return doc
 
 
 def timeset_to_json(ts: TimeSet) -> dict:
@@ -224,32 +233,14 @@ def timeset_to_json(ts: TimeSet) -> dict:
 def timeset_from_json(obj: Any) -> TimeSet:
     """A time set: an object with arrays "intervals" of [lo, hi] pairs and
     "points", both empty when absent."""
-    intervals = points = None
-    if type(obj) is dict:
-        intervals = obj.get("intervals", _NO_ITEMS)
-        points = obj.get("points", _NO_ITEMS)
-    # a cheap test of the usual types first; `_check_timeset` is exact
-    if not (
-        type(intervals) is list
-        and type(points) is list
-        and _ARRAYS.issuperset(map(type, intervals))
-        and _SCALARS.issuperset(map(type, points))
-        and _SCALARS.issuperset(map(type, chain.from_iterable(intervals)))
-    ):
-        _check_timeset(obj)
-    try:
-        return TimeSet(intervals, points)
-    except (TypeError, ValueError) as exc:
-        _check_timeset(obj)
-        raise FormatError(str(exc)) from None  # lo > hi, or no interval and no point
-
-
-def _check_timeset(obj: Any) -> None:
-    """Raise the first fault of a time-set document's fields, pairs or times."""
     intervals = _field(_object(obj), "intervals", list, _NO_ITEMS)
     points = _field(obj, "points", list, _NO_ITEMS)
-    _nested(time_pairs_from_json, intervals, "intervals")
-    _each(points, _time, "points")
+    pairs = _each(intervals, _tick_pair, "intervals")
+    marks = _each(points, _tick, "points")
+    try:
+        return TimeSet._of_ticks(pairs, marks)
+    except ValueError as exc:  # lo > hi, or no interval and no point
+        raise FormatError(str(exc)) from None
 
 
 def entry_to_json(entry: StateEntry) -> dict:
@@ -266,43 +257,31 @@ def entry_to_json(entry: StateEntry) -> dict:
 def entry_from_json(obj: Any) -> StateEntry:
     """A state or reflection entry: "subjects", an array of strings; "time",
     a time set; and "value", a string, a number or an array of numbers."""
-    subjects = time = value = None
-    if type(obj) is dict:
-        subjects = obj.get("subjects")
-        time = obj.get("time")
-        value = obj.get("value")
-    # a cheap test of the usual types first; `_check_entry` is exact
-    if not (
-        type(subjects) is list
-        and _STRINGS.issuperset(map(type, subjects))
-        and type(time) is dict
-        and (
-            type(value) in _SCALARS
-            or type(value) is list and _NUMBERS.issuperset(map(type, value))
-        )
-    ):
-        _check_entry(obj)
-    return oitkit.model.StateEntry(subjects, _nested(timeset_from_json, time, "time"), value)
+    subjects = _all(_field(_object(obj), "subjects", list), _STRINGS, "a string", "subjects")
+    time = _nested(timeset_from_json, _field(obj, "time"), "time")
+    value = _not_boolean(_field(obj, "value"), "value")
+    try:
+        return oitkit.model.StateEntry(subjects, time, value)
+    except TypeError as exc:  # a value that `model.value_key` refuses
+        raise FormatError(str(exc), "value") from None
 
 
-def _check_entry(obj: Any) -> None:
-    """Raise the first fault of an entry document's fields, but for those
-    of its time set, which `timeset_from_json` finds."""
-    _all(_field(_object(obj), "subjects", list), _STRINGS, "a string", "subjects")
-    _field(obj, "time")
-    _nested(value_from_json, _field(obj, "value"), "value")
+def _not_boolean(value: Any, *path: str | int) -> Any:
+    """`value`, which must not be a JSON boolean or an array holding one:
+    the half of the value rule that `model.value_key` leaves out."""
+    what = "a string, a number or an array of numbers"
+    if type(value) is bool:
+        _reject(what, value, *path)
+    if type(value) is list and bool in map(type, value):
+        raise FormatError(f"expected {what}, got an array holding a boolean", *path)
+    return value
 
 
 def value_from_json(value: Any) -> Any:
     """A state value: a string, a number or an array of numbers. A JSON
     boolean is none of these, though Python's bool is an int; the rest of
     the rule is `model.value_key`'s."""
-    what = "a string, a number or an array of numbers"
-    if type(value) is bool:
-        _reject(what, value)
-    if type(value) is list and bool in map(type, value):
-        raise FormatError(f"expected {what}, got an array holding a boolean")
-    _checked(oitkit.model.value_key, value)
+    _checked(oitkit.model.value_key, _not_boolean(value))
     return value
 
 
@@ -489,7 +468,7 @@ def to_json_text(obj: Any) -> str:
     `str(key)`. Anything else must be a value `json` writes, or `TypeError`
     is raised. The pinned definition of the bytes is
     `tests/oracles.json_text_oracle`. Every report of the CLI, in either
-    format, the model files of `regen_fixtures.py` and the golden reports go
+    format, every file `regen_fixtures.py` writes and the golden reports go
     through it.
     """
     out: list[str] = []

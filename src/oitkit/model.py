@@ -376,22 +376,10 @@ class AtomicInfo:
     noumenon_measure: dict
     carrier_measure: dict
     source_id: int
+    reflection_unit: str = "bit"
 
     def as_model(self) -> InformationModel:
-        return InformationModel(
-            noumena=self.noumena,
-            carriers=self.carriers,
-            occurrence=self.state.time,
-            reflection_time=self.reflection.time,
-            states=[self.state],
-            reflections=[self.reflection],
-            mapping=[(0, 0)],
-            measures=MeasureAssignment(
-                noumenon=self.noumenon_measure,
-                carrier=self.carrier_measure,
-                reflection={} if self.reflection_measure is None else {0: self.reflection_measure},
-            ),
-        )
+        return combine([self])
 
 
 _atom_source_counter = itertools.count(1)
@@ -447,6 +435,7 @@ def decompose_atomic(model: InformationModel) -> list[AtomicInfo]:
                     k: carrier_table[k] for k in sorted(refl.subjects) if k in carrier_table
                 },
                 source_id=source,
+                reflection_unit=model.measures.reflection_unit,
             )
         )
     return atoms
@@ -461,6 +450,9 @@ def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
     """
     if not pieces:
         raise ValueError("cannot combine an empty list of pieces")
+    units = {piece.reflection_unit for piece in pieces}
+    if len(units) > 1:
+        raise OverlapError(f"pieces measure reflections in different units: {sorted(units)}")
     seen: set[tuple[int, int]] = set()
     for piece in pieces:
         ident = (piece.source_id, piece.reflection_index)
@@ -513,6 +505,7 @@ def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
             noumenon=noumenon_measure,
             carrier=carrier_measure,
             reflection=reflection_measure,
+            reflection_unit=pieces[0].reflection_unit,
         ),
     )
 

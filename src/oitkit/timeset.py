@@ -141,6 +141,13 @@ class TimeSet:
     ):
         self._canonicalise([(ticks(lo), ticks(hi)) for lo, hi in intervals], map(ticks, points))
 
+    @staticmethod
+    def _of_ticks(pairs: list[tuple[Tick, Tick]], marks: Iterable[Tick]) -> "TimeSet":
+        """The set of interval `pairs` and points `marks`, already in ticks."""
+        ts = object.__new__(TimeSet)
+        ts._canonicalise(pairs, marks)
+        return ts
+
     def _canonicalise(self, pairs: list[tuple[Tick, Tick]], marks: Iterable[Tick]) -> None:
         raw: list[tuple[Tick, Tick]] = []
         loose: list[Tick] = []
@@ -213,9 +220,7 @@ class TimeSet:
         )
 
     def union(self, other: "TimeSet") -> "TimeSet":
-        joined = object.__new__(TimeSet)
-        joined._canonicalise(list(self.spans + other.spans), self.marks + other.marks)
-        return joined
+        return TimeSet._of_ticks(list(self.spans + other.spans), self.marks + other.marks)
 
     def gaps(self) -> list[tuple[Fraction, Fraction]]:
         """Maximal open gaps between components, inside [inf, sup]."""

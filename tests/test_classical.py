@@ -341,6 +341,26 @@ def test_kalman_spec_validation():
         LinearSystemSpec(A=[[1]], H=[[1]], Q=[[0]], R=[[1]], x0=[0, 0], P0=[[1]])
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [(m, f"{m} must hold only finite numbers") for m in ("A", "H", "Q", "R", "x0", "P0", "B")]
+    + [("z", "measurements must be finite numbers"), ("U", "inputs must be finite numbers")],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=repr)
+def test_kalman_rejects_non_finite_numbers(name, message, bad):
+    parts = {
+        "A": [[1.0]], "H": [[1.0]], "Q": [[0.0]], "R": [[1.0]], "x0": [0.0], "P0": [[1.0]],
+        "B": [[1.0]], "z": [[1.0], [3.0]], "U": [[0.5], [0.5]],
+    }
+    if name == "x0":
+        parts[name] = [bad]
+    else:
+        parts[name][-1] = [bad]
+    z, inputs = parts.pop("z"), parts.pop("U")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kalman_filter(LinearSystemSpec(**parts), z, inputs)
+
+
 def test_kalman_measurement_dimension_checked():
     system = LinearSystemSpec(A=[[1]], H=[[1]], Q=[[0]], R=[[1]], x0=[0], P0=[[1]])
     with pytest.raises(ValueError):

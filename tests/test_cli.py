@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -143,6 +145,29 @@ def test_kalman_overflow_exits_1_without_numpy_warnings(capsys, fixtures_dir, tm
     assert out == ""
     assert err == "error: arithmetic failed: overflow encountered in add\n"
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("name", ["A", "H", "Q", "R", "x0", "P0", "B", "z", "U"])
+def test_non_finite_kalman_number_is_refused(capsys, fixtures_dir, tmp_path, name):
+    doc = json.loads((fixtures_dir / "kalman_scalar.json").read_text())
+    doc["B"], doc["U"] = [[1.0]], [[0.0] for _ in doc["z"]]
+    if name == "x0":
+        doc[name] = [float("nan")]
+    else:
+        doc[name][-1] = [float("nan")]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classical", "kalman", str(path))
+    assert out == ""
+    if name in ("z", "U"):  # a step's row, like one of the wrong width: a domain error
+        assert code == 1
+        field = "measurements" if name == "z" else "inputs"
+        assert err == f"error: {field} must be finite numbers\n"
+    else:
+        assert code == 2
+        assert err == (
+            f"error: {path} is not a Kalman scenario file: {name} must hold only finite numbers\n"
+        )
 
 
 def test_classical_checks_on_model_files(capsys, fixtures_dir, tmp_path):
@@ -539,6 +564,27 @@ def test_output_flag_writes_file(capsys, fixtures_dir, tmp_path):
     assert code == 0
     assert stdout == ""
     assert json.loads(out.read_text())["valid"] is True
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oitkit", "demo", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )),
+            text=True,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 # Model files whose mapping pair or time interval is not a pair.

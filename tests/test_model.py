@@ -477,6 +477,18 @@ def test_decompose_combine_roundtrip_preserves_mapping_and_volume(penguin):
         assert volume(rebuilt) == volume(m)
 
 
+def test_atoms_keep_the_reflection_unit(penguin):
+    in_bytes = dataclasses.replace(
+        penguin, measures=dataclasses.replace(penguin.measures, reflection_unit="byte")
+    )
+    atoms = decompose_atomic(in_bytes)
+    rebuilt = combine(atoms)
+    assert rebuilt.measures.reflection_unit == "byte"
+    assert metric_report(rebuilt)["volume"]["unit"] == "byte"
+    with pytest.raises(OverlapError, match="different units"):
+        combine([*atoms, *decompose_atomic(penguin)])
+
+
 def test_hundred_single_bit_atoms_sum_to_100():
     pieces = [
         make_atom(StateEntry(["n"], T1, f"s{i}"), StateEntry(["c"], T2, f"r{i}"), 1)

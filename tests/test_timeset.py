@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oitkit.io import timeset_from_json
 from oitkit.timeset import NS, TimeSet, seconds, seconds_str, tick_str, ticks
 
 from oracles import (
@@ -342,11 +343,12 @@ def exact_inputs(draw, pool):
 
 
 @st.composite
-def spelled_timeset(draw, inputs):
+def spelled_inputs(draw, inputs):
+    """`inputs` with each time in one of its spellings."""
     intervals, points = inputs
-    return TimeSet(
-        intervals=[(draw(spelled(lo)), draw(spelled(hi))) for lo, hi in intervals],
-        points=[draw(spelled(p)) for p in points],
+    return (
+        [(draw(spelled(lo)), draw(spelled(hi))) for lo, hi in intervals],
+        [draw(spelled(p)) for p in points],
     )
 
 
@@ -354,9 +356,17 @@ def spelled_timeset(draw, inputs):
 def test_tick_axis_matches_fraction_reference(data):
     pool = data.draw(st.lists(exact_values, min_size=1, max_size=6, unique=True))
     inputs, other_inputs = data.draw(exact_inputs(pool)), data.draw(exact_inputs(pool))
-    ts, same = data.draw(spelled_timeset(inputs)), data.draw(spelled_timeset(inputs))
-    other = data.draw(spelled_timeset(other_inputs))
+    spelled_intervals, spelled_points = data.draw(spelled_inputs(inputs))
+    ts = TimeSet(spelled_intervals, spelled_points)
+    same = TimeSet(*data.draw(spelled_inputs(inputs)))
+    other = TimeSet(*data.draw(spelled_inputs(other_inputs)))
     ref, other_ref = FractionTimeSet(*inputs), FractionTimeSet(*other_inputs)
+    # the same spellings as a time-set document, read by the file reader
+    read = timeset_from_json(
+        {"intervals": [list(pair) for pair in spelled_intervals], "points": spelled_points}
+    )
+    assert read == ts
+    assert (read.intervals, read.points) == (ref.intervals, ref.points)
 
     assert (ts.intervals, ts.points) == (ref.intervals, ref.points)
     assert all(type(t) is Fraction for pair in ts.intervals for t in pair)
