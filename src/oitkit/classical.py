@@ -296,14 +296,16 @@ def kalman_filter(
     """
     import numpy as np
 
-    z = np.atleast_2d(np.asarray(measurements, dtype=float))
+    z = np.asarray(measurements, dtype=float)
+    # atleast_2d would make an empty sequence one row of width 0
+    if z.size == 0:
+        raise ValueError("at least one measurement is required")
+    z = np.atleast_2d(z)
     if z.shape[1] != system.measurement_dim:
         raise ValueError("measurement rows must match the measurement dimension")
     if not np.isfinite(z).all():
         raise ValueError("measurements must be finite numbers")
     steps = z.shape[0]
-    if steps < 1:
-        raise ValueError("at least one measurement is required")
     if inputs is not None:
         u = np.atleast_2d(np.asarray(inputs, dtype=float))
         if system.B is None:

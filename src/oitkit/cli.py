@@ -4,12 +4,13 @@
 its description and help text, its argument specs, and `run`, which turns the
 parsed arguments into a report dict. A row without `run` is a group, whose
 arguments are flags given before the subcommand (``physics --constants``).
-`build_parser` builds the argparse tree from the table in one loop; `main` runs
-the chosen row and emits its report as JSON text, or as a text view rendered
-from that text. Every JSON input is read by an `io` reader: a file argument
-through `read_file`, with the reader `io` has for its kind, and a flag's
-JSON text through `inline`; this module knows nothing of a file's fields or
-of what a state value or a time may be.
+`build_parser` builds the argparse tree from the table in one loop, giving
+arguments only to the parsers on the command path `main` is to parse; `main`
+runs the chosen row and emits its report as JSON text, or as a text view
+rendered from that text. Every JSON input is read by an `io` reader: a file
+argument through `read_file`, with the reader `io` has for its kind, and a
+flag's JSON text through `inline`; this module knows nothing of a file's
+fields or of what a state value or a time may be.
 Exit codes: 0 success, 1 domain error (invalid model, missing measure,
 non-restorable mapping, ...; also any report whose `valid` field is false),
 2 usage error (unknown flags; a flag value that does not parse; a file that is
@@ -543,8 +544,13 @@ COMMANDS: dict[tuple[str, ...], Command] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of `COMMANDS`; each leaf parser carries its row."""
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The argparse tree of `COMMANDS`; each leaf parser carries its row.
+
+    Given `argv`, only the parsers on a command path that `argv` names get
+    their arguments: argparse picks a subcommand by its exact name, so no
+    other parser takes part in parsing `argv`.
+    """
     root = argparse.ArgumentParser(
         prog="oitkit",
         description=(
@@ -557,20 +563,23 @@ def build_parser() -> argparse.ArgumentParser:
         parser = subparsers[path[:-1]].add_parser(
             path[-1], help=row.help, description=row.description
         )
-        for flags, options in row.args:
-            parser.add_argument(*flags, **options)
         if row.run is None:
             subparsers[path] = parser.add_subparsers(dest="subcommand", required=True)
+        if argv is not None and not set(path).issubset(argv):
             continue
-        parser.add_argument("--format", choices=("json", "text"), default="text")
-        parser.add_argument("--output", help="write the report to a file instead of stdout")
-        parser.set_defaults(command=row)
+        for flags, options in row.args:
+            parser.add_argument(*flags, **options)
+        if row.run is not None:
+            parser.add_argument("--format", choices=("json", "text"), default="text")
+            parser.add_argument("--output", help="write the report to a file instead of stdout")
+            parser.set_defaults(command=row)
     return root
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         report = args.command.run(args)
         emit(report, args)
     except UsageError as exc:

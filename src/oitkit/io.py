@@ -10,8 +10,12 @@ A reader checks the JSON type of every field it reads and fills in every
 default. A field that is missing or of the wrong type raises `FormatError`,
 a `ValueError` that names the field's JSON path. Each time set and each
 entry is read in one walk, which checks every field as it reads it and
-reads each time once, straight into ticks; a model's mapping and reflection
-keys, whose rule `model` owns, are located only once `model` refuses them.
+reads each time once, straight into ticks: a time set's times in one loop,
+which reads a plain decimal time with one `int` and works out where a fault
+is only once one is found. A time set whose intervals come sorted and apart,
+as oitkit writes them, is taken as it stands, without sorting or merging.
+A model's mapping and reflection keys, whose rule `model` owns, are located
+only once `model` refuses them.
 What the values mean is checked later: a model's measures and its four
 postulates by `model.validate`, a Kalman system's shapes and finiteness by
 `LinearSystemSpec`, a constant's sign by `PhysicalConstants`.
@@ -103,15 +107,11 @@ def _reject(what: str, value: Any, *path: str | int) -> NoReturn:
     raise FormatError(f"expected {what}, got {got}", *path)
 
 
-def _object(doc: Any) -> dict:
+def _field(doc: Any, key: str, kind: type | None = None, default: Any = _REQUIRED) -> Any:
+    """`doc[key]`, which must be of the JSON type `kind` unless that is None;
+    `default` when the key is absent. `doc` must be an object."""
     if type(doc) is not dict:
         _reject("an object", doc)
-    return doc
-
-
-def _field(doc: dict, key: str, kind: type | None = None, default: Any = _REQUIRED) -> Any:
-    """`doc[key]`, which must be of the JSON type `kind` unless that is None;
-    `default` when the key is absent."""
     value = doc.get(key, _REQUIRED)
     if value is _REQUIRED:
         if default is _REQUIRED:
@@ -190,28 +190,38 @@ def _rows(doc: dict, key: str, default: Any = _REQUIRED) -> list[list[float]] | 
     return None if rows is None else [_reals(row, key, i) for i, row in enumerate(rows)]
 
 
-def _tick(t: Any) -> Tick:
-    """The ticks of `t`, which must be a time: a string or a number that
-    `ticks` reads."""
-    if type(t) is bool:  # a JSON boolean is not a time, though ticks(True) is 1 s
-        _reject("a time", t)
+def _times(items: list, pairs: bool, *path: str | int) -> list[Tick]:
+    """The ticks of the times in `items`, or, when `pairs`, of the [lo, hi]
+    pairs of times in `items`, flattened to lo, hi, lo, hi, ....
+
+    A time is a string or a number that `ticks` reads, but not a JSON
+    boolean, though ticks(True) is 1 s; a plain decimal string is read here
+    as `ticks` reads it. The first fault raises `FormatError` at `path`, the
+    item's index and, in a pair, the time's index, which the count of ticks
+    read so far gives.
+    """
+    out: list[Tick] = []
     try:
-        return ticks(t)
+        for item in items:
+            if pairs and (type(item) is not list or len(item) != 2):
+                _array(item, 2, "a [lo, hi] pair of times")
+            for t in item if pairs else (item,):
+                if type(t) is str:
+                    whole, _, frac = t.partition(".")
+                    if len(frac) <= 9 and len(whole) < 600 and (
+                        whole.removeprefix("-") + frac
+                    ).isdecimal():
+                        out.append(int(whole + frac.ljust(9, "0")))
+                        continue
+                elif type(t) is bool:
+                    raise TypeError("expected a time, got a boolean")
+                out.append(ticks(t))
+    except FormatError as exc:  # a pair of the wrong shape
+        raise exc.within(*path, len(out) // 2)
     except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc)) from None
-
-
-def _tick_pair(pair: Any) -> tuple[Tick, Tick]:
-    """The ticks of a [lo, hi] pair of times."""
-    lo, hi = _array(pair, 2, "a [lo, hi] pair of times")
-    try:
-        lo = _tick(lo)
-    except FormatError as exc:
-        raise exc.within(0)
-    try:
-        return lo, _tick(hi)
-    except FormatError as exc:
-        raise exc.within(1)
+        where = divmod(len(out), 2) if pairs else (len(out),)
+        raise FormatError(str(exc), *path, *where) from None
+    return out
 
 
 def time_pairs_from_json(doc: Any) -> list:
@@ -219,7 +229,7 @@ def time_pairs_from_json(doc: Any) -> list:
     the pairs are returned as given."""
     if type(doc) is not list:
         _reject("an array of [lo, hi] pairs", doc)
-    _each(doc, _tick_pair)
+    _times(doc, True)
     return doc
 
 
@@ -233,12 +243,12 @@ def timeset_to_json(ts: TimeSet) -> dict:
 def timeset_from_json(obj: Any) -> TimeSet:
     """A time set: an object with arrays "intervals" of [lo, hi] pairs and
     "points", both empty when absent."""
-    intervals = _field(_object(obj), "intervals", list, _NO_ITEMS)
+    intervals = _field(obj, "intervals", list, _NO_ITEMS)
     points = _field(obj, "points", list, _NO_ITEMS)
-    pairs = _each(intervals, _tick_pair, "intervals")
-    marks = _each(points, _tick, "points")
+    bounds = _times(intervals, True, "intervals")
+    marks = _times(points, False, "points") if points else ()
     try:
-        return TimeSet._of_ticks(pairs, marks)
+        return TimeSet._of_ticks(bounds, marks)
     except ValueError as exc:  # lo > hi, or no interval and no point
         raise FormatError(str(exc)) from None
 
@@ -257,7 +267,7 @@ def entry_to_json(entry: StateEntry) -> dict:
 def entry_from_json(obj: Any) -> StateEntry:
     """A state or reflection entry: "subjects", an array of strings; "time",
     a time set; and "value", a string, a number or an array of numbers."""
-    subjects = _all(_field(_object(obj), "subjects", list), _STRINGS, "a string", "subjects")
+    subjects = _all(_field(obj, "subjects", list), _STRINGS, "a string", "subjects")
     time = _nested(timeset_from_json, _field(obj, "time"), "time")
     value = _not_boolean(_field(obj, "value"), "value")
     try:
@@ -298,7 +308,6 @@ def measures_from_json(obj: Any) -> MeasureAssignment:
     """Measure tables: objects "noumenon", "carrier" and "reflection" (keyed
     by reflection index), each empty when absent, and "reflection_unit".
     The measures themselves are `validate`'s to check."""
-    _object(obj)
     noumenon, carrier, reflection = (
         _field(obj, key, dict, {}) for key in ("noumenon", "carrier", "reflection")
     )
@@ -312,7 +321,6 @@ def measures_from_json(obj: Any) -> MeasureAssignment:
 
 
 def _copy_from_json(obj: Any):
-    _object(obj)
     return oitkit.model.CopyRecord(_field(obj, "carrier_measure"), _field(obj, "weight", None, 1))
 
 
@@ -352,7 +360,6 @@ def model_from_json(doc: dict) -> InformationModel:
     Raises `FormatError` for a missing or wrong-typed field; the model's
     measures and its four postulates are `validate`'s to check.
     """
-    _object(doc)
     noumena = _all(_field(doc, "noumena", list), _STRINGS, "a string", "noumena")
     carriers = _all(_field(doc, "carriers", list), _STRINGS, "a string", "carriers")
     occurrence = _nested(timeset_from_json, _field(doc, "occurrence"), "occurrence")
@@ -380,13 +387,13 @@ def chain_from_json(doc: Any) -> list[InformationModel]:
     """The links of a chain document: an array of models or {"links": [...]}."""
     if type(doc) is list:
         return _each(doc, model_from_json)
-    return _each(_field(_object(doc), "links", list), model_from_json, "links")
+    return _each(_field(doc, "links", list), model_from_json, "links")
 
 
 def relation_from_json(doc: Any) -> EquivalenceRelation:
     """A relation file: "labels", an object from state index to a label,
     which is a string or a number."""
-    labels = _field(_object(doc), "labels", dict)
+    labels = _field(doc, "labels", dict)
     for key, label in labels.items():
         _checked(oitkit.model.key_index, key, "labels", key)
         if type(label) not in _SCALARS:
@@ -397,7 +404,7 @@ def relation_from_json(doc: Any) -> EquivalenceRelation:
 def edges_from_json(doc: Any) -> RelationSet:
     """An edges file: "edges", an array of [i, j, label] triples of two
     state indices and a label, which is a string or a number."""
-    edges = _each(_field(_object(doc), "edges", list), _edge, "edges")
+    edges = _each(_field(doc, "edges", list), _edge, "edges")
     return oitkit.metrics.RelationSet(edges)
 
 
@@ -413,7 +420,6 @@ def search_from_json(doc: Any) -> dict:
     "candidates", an array of models; "target", a model; "algorithm", a
     string ("sequential" when absent); and "order_keys", all numbers or all
     strings (none when absent)."""
-    _object(doc)
     candidates = _each(_field(doc, "candidates", list), model_from_json, "candidates")
     target = _nested(model_from_json, _field(doc, "target"), "target")
     algorithm = _field(doc, "algorithm", str, "sequential")
@@ -439,7 +445,6 @@ def kalman_from_json(doc: Any) -> tuple[LinearSystemSpec, list, list | None]:
     "U" hold one row of numbers per step. `LinearSystemSpec` checks the
     shapes.
     """
-    _object(doc)
     matrices = {key: _rows(doc, key) for key in ("A", "H", "Q", "R", "P0")}
     x0 = _reals(_field(doc, "x0"), "x0")
     system = oitkit.classical.LinearSystemSpec(**matrices, x0=x0, B=_rows(doc, "B", None))
@@ -450,7 +455,7 @@ def constants_from_json(doc: Any) -> PhysicalConstants:
     """A constants file: "name", a string ("custom" when absent), and any of
     the constants `physics.CONSTANT_NAMES` as numbers; the others come from
     the profile "name" names, or from "paper"."""
-    name = _field(_object(doc), "name", str, "custom")
+    name = _field(doc, "name", str, "custom")
     physics = oitkit.physics
     for key in physics.CONSTANT_NAMES:
         if key in doc:

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from numbers import Integral
 from operator import itemgetter
 from typing import Sequence
@@ -70,6 +71,8 @@ class DistanceSpec:
 
 
 def _exact_sum(values):
+    if all(map(isinstance, values, repeat(int))):  # the usual measures skip the ABC checks
+        return sum(values)
     if all(isinstance(v, (Integral, Fraction)) for v in values):
         return sum(values, Fraction(0) if any(isinstance(v, Fraction) for v in values) else 0)
     return math.fsum(values)
@@ -153,10 +156,13 @@ def sampling_rate(model: InformationModel, gaps: Sequence[tuple] | None = None) 
     """
     require_valid(model)
     occ = model.occurrence
-    holes = occ.gaps()
     if gaps is None:
-        resolved = holes
+        # the maximal gaps are [inf, sup] less the components, each of
+        # which a gap of positive width parts from the next
+        count = len(occ.spans) + len(occ.marks) - 1
+        total = occ.sup - occ.inf - occ.lebesgue()
     else:
+        holes = occ.gaps()
         # An open gap misses the occurrence set exactly when one of its
         # maximal gaps holds it: the last one starting at or before lo. The
         # accepted gaps, kept as (lo, hi, input position) sorted by lo, are
@@ -178,29 +184,28 @@ def sampling_rate(model: InformationModel, gaps: Sequence[tuple] | None = None) 
                 plo, phi, _ = min(run, key=itemgetter(2))
                 raise GapError(f"gap ({lo_f}, {hi_f}) overlaps gap ({plo}, {phi})")
             insort(resolved, (lo_f, hi_f, position), key=_lo)
-    if not resolved:
+        count = len(resolved)
+        total = sum((gap[1] - gap[0] for gap in resolved), Fraction(0))
+    if not count:
         raise GapError("occurrence set has no gaps to sample over")
-    total = sum((gap[1] - gap[0] for gap in resolved), Fraction(0))
-    return Fraction(len(resolved)) / total
+    return Fraction(count) / total
 
 
 _lo, _hi = itemgetter(0), itemgetter(1)
 
 
-def _value_level_edges(model: InformationModel, rels: RelationSet) -> set:
+def aggregation(model: InformationModel, rels: RelationSet) -> Fraction:
+    """Distinct labelled relations per distinct state value."""
+    require_valid(model)
     states = model.states
+    first: dict = {}  # a state value -> the index it first appears at
+    value_of = [first.setdefault(state, i) for i, state in enumerate(states)]
     edges = set()
     for a, b, lab in rels.edges:
         if not (0 <= a < len(states) and 0 <= b < len(states)):
             raise PartialRelationError(f"edge ({a}, {b}, {lab!r}) references unknown states")
-        edges.add((states[a], states[b], lab))
-    return edges
-
-
-def aggregation(model: InformationModel, rels: RelationSet) -> Fraction:
-    """Distinct labelled relations per distinct state value."""
-    require_valid(model)
-    return Fraction(len(_value_level_edges(model, rels)), len(set(model.states)))
+        edges.add((value_of[a], value_of[b], lab))
+    return Fraction(len(edges), len(first))
 
 
 def coverage(model: InformationModel):

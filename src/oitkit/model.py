@@ -42,12 +42,13 @@ Value = Union[str, int, float, Fraction, tuple]
 
 # int and float come first so the usual numbers skip the slower ABC check
 _NUMBER = (int, float, Real)
+_SCALARS = {str, int, float}  # a value of these types is its own canonical form
 
 
 def is_finite_real(value) -> bool:
     """True for a finite real number; ints and Fractions always are, bools
     never."""
-    if isinstance(value, Rational):
+    if type(value) is int or isinstance(value, Rational):  # ints skip the slower ABC check
         return type(value) is not bool
     return isinstance(value, Real) and math.isfinite(value)
 
@@ -81,7 +82,7 @@ def value_key(value) -> tuple:
     """
     if isinstance(value, str):
         return ("sym", value)
-    if isinstance(value, (list, tuple)) and all(isinstance(x, _NUMBER) for x in value):
+    if isinstance(value, (list, tuple)) and all(map(isinstance, value, itertools.repeat(_NUMBER))):
         return ("vec", tuple(value))
     if isinstance(value, _NUMBER):
         return ("num", value)
@@ -105,7 +106,7 @@ class StateEntry:
     def __init__(self, subjects: Iterable[str], time: TimeSet, value):
         object.__setattr__(self, "subjects", frozenset(subjects))
         object.__setattr__(self, "time", time)
-        object.__setattr__(self, "value", value_key(value)[1])
+        object.__setattr__(self, "value", value if type(value) in _SCALARS else value_key(value)[1])
 
     def key(self) -> tuple:
         """The entry's identity as a tuple: equal entries have equal keys."""
@@ -464,8 +465,6 @@ def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
 
     noumena: set[str] = set()
     carriers: set[str] = set()
-    occurrence = pieces[0].state.time
-    reflection_time = pieces[0].reflection.time
     states: list[StateEntry] = []
     reflections: list[StateEntry] = []
     mapping: list[tuple[int, int]] = []
@@ -475,8 +474,6 @@ def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
     for piece in pieces:
         noumena |= piece.noumena
         carriers |= piece.carriers
-        occurrence = occurrence.union(piece.state.time)
-        reflection_time = reflection_time.union(piece.reflection.time)
         idx = len(states)
         states.append(piece.state)
         reflections.append(piece.reflection)
@@ -496,8 +493,9 @@ def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
     return InformationModel(
         noumena=noumena,
         carriers=carriers,
-        occurrence=occurrence,
-        reflection_time=reflection_time,
+        # each time set in one merge of every piece's intervals and points
+        occurrence=TimeSet.union(*(state.time for state in states)),
+        reflection_time=TimeSet.union(*(reflection.time for reflection in reflections)),
         states=states,
         reflections=reflections,
         mapping=mapping,

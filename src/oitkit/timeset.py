@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Rational
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Union
 
 TimeLike = Union[int, str, float, Fraction]
@@ -60,17 +60,17 @@ def ticks(value: TimeLike) -> Tick:
     """Parse a time coordinate into exact nanosecond ticks.
 
     Ints and plain decimal strings (an optional "-", decimal digits, at most
-    nine places) are split and read with `int`; every other form goes
-    through `seconds`.
+    nine places) are read with one `int`; every other form goes through
+    `seconds`. `io` reads a model file's times with the same test, inline.
     """
     if type(value) is int:
         return value * NS
     if type(value) is str:
-        negative = value[:1] == "-"
-        whole, _, frac = (value[1:] if negative else value).partition(".")
-        if whole.isdecimal() and len(frac) <= 9 and (frac.isdecimal() or not frac):
-            t = int(whole) * NS + int(frac.ljust(9, "0"))
-            return -t if negative else t
+        whole, _, frac = value.partition(".")
+        # a longer whole part could pass the interpreter's digit limit for
+        # `int` where `seconds` does not
+        if len(frac) <= 9 and len(whole) < 600 and (whole.removeprefix("-") + frac).isdecimal():
+            return int(whole + frac.ljust(9, "0"))
     exact = seconds(value)
     scaled, rest = divmod(exact.numerator * NS, exact.denominator)
     return Fraction(exact.numerator * NS, exact.denominator) if rest else scaled
@@ -139,43 +139,53 @@ class TimeSet:
         intervals: Iterable[tuple[TimeLike, TimeLike]] = (),
         points: Iterable[TimeLike] = (),
     ):
-        self._canonicalise([(ticks(lo), ticks(hi)) for lo, hi in intervals], map(ticks, points))
+        self._canonicalise(
+            [t for lo, hi in intervals for t in (ticks(lo), ticks(hi))], map(ticks, points)
+        )
 
     @staticmethod
-    def _of_ticks(pairs: list[tuple[Tick, Tick]], marks: Iterable[Tick]) -> "TimeSet":
-        """The set of interval `pairs` and points `marks`, already in ticks."""
+    def _of_ticks(bounds: list[Tick], marks: Iterable[Tick]) -> "TimeSet":
+        """The set of the intervals whose ends, in ticks, are `bounds` (lo,
+        hi, lo, hi, ...) and of the points `marks`."""
         ts = object.__new__(TimeSet)
-        ts._canonicalise(pairs, marks)
+        ts._canonicalise(bounds, marks)
         return ts
 
-    def _canonicalise(self, pairs: list[tuple[Tick, Tick]], marks: Iterable[Tick]) -> None:
-        raw: list[tuple[Tick, Tick]] = []
+    def _canonicalise(self, bounds: list[Tick], marks: Iterable[Tick]) -> None:
+        ends = iter(bounds)
+        spans = tuple(zip(ends, ends))
         loose: list[Tick] = []
-        for lo, hi in pairs:
-            if lo < hi:
-                raw.append((lo, hi))
-            elif lo == hi:
-                loose.append(lo)
-            else:
-                raise ValueError(f"interval [{Fraction(lo, NS)}, {Fraction(hi, NS)}] has lo > hi")
+        # strictly increasing bounds, as oitkit writes them, are sorted,
+        # disjoint and non-touching intervals: canonical as they stand
+        if not all(map(lt, bounds, bounds[1:])):
+            raw = []
+            for lo, hi in spans:
+                if lo < hi:
+                    raw.append((lo, hi))
+                elif lo == hi:
+                    loose.append(lo)
+                else:
+                    raise ValueError(
+                        f"interval [{Fraction(lo, NS)}, {Fraction(hi, NS)}] has lo > hi"
+                    )
+            raw.sort()
+            merged = []
+            last = None  # merged[-1]
+            for pair in raw:
+                if last is None or pair[0] > last[1]:
+                    merged.append(pair)
+                    last = pair
+                elif pair[1] > last[1]:
+                    last = merged[-1] = (last[0], pair[1])
+            spans = tuple(merged)
         loose.extend(marks)
-        if not raw and not loose:
+        if not spans and not loose:
             raise ValueError("a TimeSet must contain at least one interval or point")
-
-        raw.sort()
-        merged: list[tuple[Tick, Tick]] = []
-        last = None  # merged[-1]
-        for pair in raw:
-            if last is None or pair[0] > last[1]:
-                merged.append(pair)
-                last = pair
-            elif pair[1] > last[1]:
-                last = merged[-1] = (last[0], pair[1])
-        object.__setattr__(self, "spans", tuple(merged))
+        object.__setattr__(self, "spans", spans)
         object.__setattr__(
             self,
             "marks",
-            tuple(sorted({p for p in loose if not _covering(merged, p, p)})) if loose else (),
+            tuple(sorted({p for p in loose if not _covering(spans, p, p)})) if loose else (),
         )
 
     @classmethod
@@ -196,11 +206,13 @@ class TimeSet:
 
     @property
     def inf(self) -> Fraction:
-        return Fraction(min([lo for lo, _ in self.spans[:1]] + list(self.marks[:1])), NS)
+        first = self.spans[0][0] if self.spans else self.marks[0]
+        return Fraction(min((first, *self.marks[:1])), NS)
 
     @property
     def sup(self) -> Fraction:
-        return Fraction(max([hi for _, hi in self.spans[-1:]] + list(self.marks[-1:])), NS)
+        last = self.spans[-1][1] if self.spans else self.marks[-1]
+        return Fraction(max((last, *self.marks[-1:])), NS)
 
     def lebesgue(self) -> Fraction:
         """Total length; isolated points contribute nothing."""
@@ -215,12 +227,19 @@ class TimeSet:
 
     def issubset(self, other: "TimeSet") -> bool:
         """Binary searches over the other set's canonical form: O(k log m)."""
-        return all(_covering(other.spans, lo, hi) for lo, hi in self.spans) and all(
-            other._holds(p) for p in self.marks
-        )
+        for lo, hi in self.spans:
+            if not _covering(other.spans, lo, hi):
+                return False
+        return not self.marks or all(map(other._holds, self.marks))
 
-    def union(self, other: "TimeSet") -> "TimeSet":
-        return TimeSet._of_ticks(list(self.spans + other.spans), self.marks + other.marks)
+    def union(self, *others: "TimeSet") -> "TimeSet":
+        """This set joined with every set of `others`, in one merge."""
+        bounds, marks = [], []
+        for ts in (self, *others):
+            for span in ts.spans:
+                bounds += span
+            marks += ts.marks
+        return TimeSet._of_ticks(bounds, marks)
 
     def gaps(self) -> list[tuple[Fraction, Fraction]]:
         """Maximal open gaps between components, inside [inf, sup]."""

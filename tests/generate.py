@@ -85,14 +85,16 @@ def random_restorable_model(
     max_states: int = 6,
     with_duplicates: bool = False,
     integer_measures: bool = True,
+    n_states: int | None = None,
 ) -> InformationModel:
-    """A valid, restorable model with a bijective index mapping.
+    """A valid, restorable model with a bijective index mapping, of
+    `n_states` states when given (and of 1 to `max_states` when not).
 
     With `with_duplicates`, extra state entries repeating an existing value
     are added and mapped onto the same reflection as the entry they repeat —
     still restorable, but no longer atomisable without overlap.
     """
-    n = rng.randint(1, max_states)
+    n = n_states or rng.randint(1, max_states)
     noumena = [f"n{i}" for i in range(rng.randint(1, 4))]
     carriers = [f"c{i}" for i in range(rng.randint(1, 4))]
     occurrence = random_timeset(rng)

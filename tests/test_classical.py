@@ -367,6 +367,12 @@ def test_kalman_measurement_dimension_checked():
         kalman_filter(system, [[1, 2]])
 
 
+def test_kalman_without_measurements_says_so():
+    system = LinearSystemSpec(A=[[1]], H=[[1]], Q=[[0]], R=[[1]], x0=[0], P0=[[1]])
+    with pytest.raises(ValueError, match="^at least one measurement is required$"):
+        kalman_filter(system, [])
+
+
 def test_kalman_overflow_raises_floating_point_error():
     system = LinearSystemSpec(A=[[1]], H=[[1]], Q=[[1e308]], R=[[1]], x0=[0], P0=[[1e308]])
     with pytest.raises(FloatingPointError, match="overflow encountered in add"):

@@ -147,6 +147,16 @@ def test_kalman_overflow_exits_1_without_numpy_warnings(capsys, fixtures_dir, tm
     assert [str(w.message) for w in caught] == []
 
 
+def test_kalman_without_measurements_exits_1(capsys, fixtures_dir, tmp_path):
+    doc = json.loads((fixtures_dir / "kalman_scalar.json").read_text())
+    doc["z"] = []
+    path = tmp_path / "no-z.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "classical", "kalman", str(path)) == (
+        1, "", "error: at least one measurement is required\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["A", "H", "Q", "R", "x0", "P0", "B", "z", "U"])
 def test_non_finite_kalman_number_is_refused(capsys, fixtures_dir, tmp_path, name):
     doc = json.loads((fixtures_dir / "kalman_scalar.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oitkit.cli import render_text
+from oitkit.cli import read_file, render_text
 from oitkit.io import (
     FormatError,
     chain_from_json,
@@ -16,11 +16,11 @@ from oitkit.io import (
     time_pairs_from_json,
     to_json_text,
 )
-from oitkit.metrics import volume
+from oitkit.metrics import metric_report, volume
 from oitkit.model import validate
 from oitkit.scenarios import penguin_model
 
-from generate import random_chain, random_restorable_model
+from generate import random_chain, random_relation, random_relation_set, random_restorable_model
 from oracles import json_ready, json_text_oracle
 
 
@@ -29,6 +29,22 @@ def test_penguin_roundtrip_is_lossless(penguin):
     back = model_from_json(doc)
     assert back == penguin
     assert model_to_json(back) == doc
+
+
+def test_large_model_file_round_trips_through_the_reader(tmp_path):
+    rng = random.Random(2000)
+    m = random_restorable_model(rng, n_states=2000)
+    relation, edges = random_relation(rng, m), random_relation_set(rng, m)
+    path = tmp_path / "large.json"
+    path.write_text(to_json_text(model_to_json(m)), encoding="utf-8")
+    back = read_file(str(path), "a model", model_from_json)
+    assert len(back.states) == 2000
+    assert back == m
+
+    def report(model):
+        return to_json_text(metric_report(model, relation=relation, relations=edges, target=m))
+
+    assert report(back) == report(m)
 
 
 def test_random_models_roundtrip():

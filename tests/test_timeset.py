@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oitkit.io import timeset_from_json
+from oitkit.io import FormatError, timeset_from_json
 from oitkit.timeset import NS, TimeSet, seconds, seconds_str, tick_str, ticks
 
 from oracles import (
@@ -382,3 +382,110 @@ def test_tick_axis_matches_fraction_reference(data):
 
     assert ts == same and hash(ts) == hash(same)
     assert (ts == other) == (ref.key() == other_ref.key())
+
+
+# Coordinates on and near the plain decimal form ("-12.5"), which the model
+# file reader parses inline, and everything else a JSON time may be.
+_DIGITS = st.text(st.sampled_from("0123456789"), max_size=14) | st.text(
+    st.sampled_from("0123456789\u0663\uff15\u00b2_ "), max_size=4
+)
+
+
+@st.composite
+def coordinates(draw):
+    text = draw(st.sampled_from(["", "-", "+", "--", " "])) + draw(_DIGITS)
+    if draw(st.booleans()):
+        places = draw(st.integers(0, 12))
+        frac = st.text(st.sampled_from("0123456789"), min_size=places, max_size=places)
+        text += "." + draw(frac | _DIGITS)
+    if draw(st.integers(0, 4)) == 0:
+        text += draw(st.sampled_from(["e", "E", "e-", "e+"])) + draw(_DIGITS)
+    return text
+
+
+@given(
+    coordinates()
+    | st.sampled_from(["12.", ".5", "-.5", "-", "", ".", "1" * 700 + ".5", "-0.000000001"])
+    | st.integers(-(10**20), 10**20)
+    | st.floats()
+    | st.booleans()
+    | st.none()
+)
+@example("9" * 4296 + ".123456789")
+@example("-3.1234567891")
+@example("12.345678912")
+def test_read_times_match_seconds(t):
+    """A time in a model file reads as `seconds(t) * NS` ticks, or fails with
+    the message the time's parse gives, at the time's path."""
+    try:
+        if type(t) is bool:
+            raise TypeError("expected a time, got a boolean")
+        exact = seconds(t) * NS
+    except (TypeError, ValueError) as exc:
+        for doc, path in (
+            ({"points": ["1", t]}, ("points", 1)),
+            ({"intervals": [["1", "2"], ["3", t]]}, ("intervals", 1, 1)),
+        ):
+            with pytest.raises(FormatError) as caught:
+                timeset_from_json(doc)
+            assert (caught.value.message, caught.value.path) == (str(exc), path)
+        return
+    mark = timeset_from_json({"points": [t]}).marks[0]
+    assert (mark, type(mark)) == (exact, int if exact.denominator == 1 else Fraction)
+    assert timeset_from_json({"intervals": [[t, t]]}) == TimeSet(points=[t])
+    assert ticks(t) == mark
+
+
+@st.composite
+def tick_bounds(draw):
+    """Interval ends lo, hi, lo, hi, ... in ticks that are canonical as they
+    stand, touch, overlap, come in descending order or include lo == hi."""
+    ticks_ = st.integers(-50, 50).map(lambda n: n * NS // 4) | st.builds(
+        Fraction, st.integers(-100, 100), st.sampled_from([3, 7])
+    )
+    shape = draw(st.sampled_from(["canonical", "touching", "overlapping", "descending", "any"]))
+    ends = sorted(draw(st.lists(ticks_, min_size=0, max_size=10, unique=True)))
+    if shape == "any":
+        ends = draw(st.lists(ticks_, max_size=10))
+        ends = [t for lo, hi in zip(ends[::2], ends[1::2]) for t in sorted((lo, hi))]
+    ends = ends[: len(ends) // 2 * 2]
+    pairs = list(zip(ends[::2], ends[1::2]))
+    if shape == "touching" and pairs:
+        pairs = [(lo, hi) for (lo, _), (hi, _) in zip(pairs, pairs[1:] + [(pairs[-1][1], 0)])]
+    elif shape == "overlapping" and len(pairs) > 1:
+        pairs = [(lo, pairs[-1][1]) for lo, _ in pairs]
+    elif shape == "descending":
+        pairs.reverse()
+    return [t for pair in pairs for t in pair]
+
+
+@given(tick_bounds(), st.lists(st.integers(-15, 15).map(lambda n: n * NS), max_size=3))
+def test_of_ticks_matches_fraction_reference(bounds, marks):
+    intervals = [(Fraction(lo, NS), Fraction(hi, NS)) for lo, hi in zip(bounds[::2], bounds[1::2])]
+    points = [Fraction(p, NS) for p in marks]
+    if not intervals and not points:
+        with pytest.raises(ValueError, match="at least one interval or point"):
+            TimeSet._of_ticks(bounds, marks)
+        return
+    ts, ref = TimeSet._of_ticks(list(bounds), list(marks)), FractionTimeSet(intervals, points)
+    assert (ts.intervals, ts.points) == (ref.intervals, ref.points)
+    assert ts == TimeSet(intervals, points)
+
+
+def test_of_ticks_names_the_first_reversed_interval():
+    bounds = [0, NS, 5 * NS, 4 * NS, 9 * NS, 8 * NS]
+    with pytest.raises(ValueError, match=r"^interval \[5, 4\] has lo > hi$"):
+        TimeSet._of_ticks(bounds, [])
+
+
+@given(st.lists(timesets(), min_size=1, max_size=6))
+def test_union_of_many_sets_is_the_pairwise_union(sets):
+    joined = sets[0].union(*sets[1:])
+    pairwise = sets[0]
+    for ts in sets[1:]:
+        pairwise = pairwise.union(ts)
+    ref = FractionTimeSet(
+        [pair for ts in sets for pair in ts.intervals], [p for ts in sets for p in ts.points]
+    )
+    assert joined == pairwise
+    assert (joined.intervals, joined.points) == (ref.intervals, ref.points)
