@@ -67,8 +67,8 @@ def ticks(value: TimeLike) -> Tick:
         return value * NS
     if type(value) is str:
         whole, _, frac = value.partition(".")
-        # a longer whole part could pass the interpreter's digit limit for
-        # `int` where `seconds` does not
+        # with its places appended, a longer whole part could pass the
+        # interpreter's digit limit for `int`, which `seconds` does not
         if len(frac) <= 9 and len(whole) < 600 and (whole.removeprefix("-") + frac).isdecimal():
             return int(whole + frac.ljust(9, "0"))
     exact = seconds(value)
