@@ -11,9 +11,9 @@ default. A field that is missing or of the wrong type raises `FormatError`,
 a `ValueError` that names the field's JSON path. Each time set and each
 entry is read in one walk, which checks every field as it reads it and
 reads each time once, straight into ticks: a time set's times in one loop,
-which reads a plain decimal time with one `int` and works out where a fault
-is only once one is found. A time set whose intervals come sorted and apart,
-as oitkit writes them, is taken as it stands, without sorting or merging.
+which reads each through `timeset.ticks` and works out where a fault is
+only once one is found. A time set whose intervals come sorted and apart, as oitkit writes
+them, is taken as it stands, without sorting or merging.
 A model's mapping and reflection keys, whose rule `model` owns, are located
 only once `model` refuses them.
 What the values mean is checked later: a model's measures and its four
@@ -195,10 +195,9 @@ def _times(items: list, pairs: bool, *path: str | int) -> list[Tick]:
     pairs of times in `items`, flattened to lo, hi, lo, hi, ....
 
     A time is a string or a number that `ticks` reads, but not a JSON
-    boolean, though ticks(True) is 1 s; a plain decimal string is read here
-    as `ticks` reads it. The first fault raises `FormatError` at `path`, the
-    item's index and, in a pair, the time's index, which the count of ticks
-    read so far gives.
+    boolean, though ticks(True) is 1 s. The first fault raises `FormatError`
+    at `path`, the item's index and, in a pair, the time's index, which the
+    count of ticks read so far gives.
     """
     out: list[Tick] = []
     try:
@@ -206,14 +205,7 @@ def _times(items: list, pairs: bool, *path: str | int) -> list[Tick]:
             if pairs and (type(item) is not list or len(item) != 2):
                 _array(item, 2, "a [lo, hi] pair of times")
             for t in item if pairs else (item,):
-                if type(t) is str:
-                    whole, _, frac = t.partition(".")
-                    if len(frac) <= 9 and len(whole) < 600 and (
-                        whole.removeprefix("-") + frac
-                    ).isdecimal():
-                        out.append(int(whole + frac.ljust(9, "0")))
-                        continue
-                elif type(t) is bool:
+                if type(t) is bool:
                     raise TypeError("expected a time, got a boolean")
                 out.append(ticks(t))
     except FormatError as exc:  # a pair of the wrong shape

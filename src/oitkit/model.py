@@ -366,18 +366,18 @@ def restore(model: InformationModel, reflection_index: int) -> StateEntry:
 @dataclass(frozen=True)
 class AtomicInfo:
     """An indivisible single-pair piece of a model: one state entry, the
-    reflection entry it maps to, and the elements/times they reference."""
+    reflection entry it maps to, and the measure table it is measured by,
+    which an atom shares with the model it was cut from."""
 
-    noumena: frozenset[str]
-    carriers: frozenset[str]
     state: StateEntry
     reflection: StateEntry
+    measures: MeasureAssignment = field(repr=False)
     reflection_index: int
-    reflection_measure: Union[int, float, Fraction, None]
-    noumenon_measure: dict
-    carrier_measure: dict
     source_id: int
-    reflection_unit: str = "bit"
+
+    @property
+    def reflection_measure(self) -> Union[int, float, Fraction, None]:
+        return self.measures.reflection.get(self.reflection_index)
 
     def as_model(self) -> InformationModel:
         return combine([self])
@@ -393,65 +393,54 @@ def make_atom(
     noumenon_measure: dict | None = None,
     carrier_measure: dict | None = None,
 ) -> AtomicInfo:
-    """Build a standalone atom not tied to any existing model."""
-    return AtomicInfo(
-        noumena=state.subjects,
-        carriers=reflection.subjects,
-        state=state,
-        reflection=reflection,
-        reflection_index=0,
-        reflection_measure=reflection_measure,
-        noumenon_measure=dict(noumenon_measure or {}),
-        carrier_measure=dict(carrier_measure or {}),
-        source_id=next(_atom_source_counter),
-    )
+    """Build a standalone atom not tied to any existing model. Its element
+    measures may name only the subjects of its own entries."""
+    for kind, table, entry in (
+        ("noumenon", noumenon_measure, state), ("carrier", carrier_measure, reflection)
+    ):
+        for key in table or ():
+            if key not in entry.subjects:
+                raise ValueError(f"{kind} measure names {key!r}, which is no subject of the atom")
+    reflection_table = {} if reflection_measure is None else {0: reflection_measure}
+    measures = MeasureAssignment(noumenon_measure or {}, carrier_measure or {}, reflection_table)
+    return AtomicInfo(state, reflection, measures, 0, next(_atom_source_counter))
 
 
 def decompose_atomic(model: InformationModel) -> list[AtomicInfo]:
-    """Split a model into one atom per mapping pair.
+    """Split a model into one atom per mapping pair, in state order, each
+    sharing the model's `measures`.
 
     Atoms from one model are disjoint exactly when the mapping never reuses a
     reflection entry; `combine` refuses overlapping pieces, which keeps the
-    volume-additivity identity honest.
+    volume-additivity identity honest. An atom holds only its pair, so the
+    copies, label and `enabled`, elements no entry references (and their
+    measures) and times outside the entries' own belong to the whole model
+    and do not come back from `combine`.
     """
     require_valid(model)
     source = next(_atom_source_counter)
-    noumenon_table, carrier_table = model.measures.noumenon, model.measures.carrier
-    atoms = []
-    for s, r in sorted(model.mapping):
-        state = model.states[s]
-        refl = model.reflections[r]
-        atoms.append(
-            AtomicInfo(
-                noumena=state.subjects,
-                carriers=refl.subjects,
-                state=state,
-                reflection=refl,
-                reflection_index=r,
-                reflection_measure=model.measures.reflection.get(r),
-                noumenon_measure={
-                    k: noumenon_table[k] for k in sorted(state.subjects) if k in noumenon_table
-                },
-                carrier_measure={
-                    k: carrier_table[k] for k in sorted(refl.subjects) if k in carrier_table
-                },
-                source_id=source,
-                reflection_unit=model.measures.reflection_unit,
-            )
-        )
-    return atoms
+    states, reflections = model.states, model.reflections
+    return [
+        AtomicInfo(states[s], reflections[r], model.measures, r, source)
+        for s, r in sorted(model.mapping)
+    ]
 
 
 def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
     """Union a family of disjoint atoms back into one model.
 
-    The measure of the whole is the sum over the pieces whenever every piece
+    Piece i gives state i, reflection i, the pair (i, i), its reflection
+    measure and the measures of its entries' subjects; the model's times are
+    the union of the entries' times, and it is enabled, with no copies and
+    no label. So next to the source model, coverage, scope, delay, duration
+    and sampling rate can change, and mismatch too, as reflections are
+    renumbered. The measure of the whole is the sum over the pieces whenever every piece
     carries a reflection measure, which is the finite additivity identity the
     decomposition is built around.
     """
     if not pieces:
         raise ValueError("cannot combine an empty list of pieces")
-    units = {piece.reflection_unit for piece in pieces}
+    units = {piece.measures.reflection_unit for piece in pieces}
     if len(units) > 1:
         raise OverlapError(f"pieces measure reflections in different units: {sorted(units)}")
     seen: set[tuple[int, int]] = set()
@@ -465,31 +454,29 @@ def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
 
     noumena: set[str] = set()
     carriers: set[str] = set()
-    states: list[StateEntry] = []
-    reflections: list[StateEntry] = []
-    mapping: list[tuple[int, int]] = []
     noumenon_measure: dict = {}
     carrier_measure: dict = {}
     reflection_measure: dict = {}
-    for piece in pieces:
-        noumena |= piece.noumena
-        carriers |= piece.carriers
-        idx = len(states)
-        states.append(piece.state)
-        reflections.append(piece.reflection)
-        mapping.append((idx, idx))
+    for idx, piece in enumerate(pieces):
+        state, refl, measures = piece.state, piece.reflection, piece.measures
+        noumena |= state.subjects
+        carriers |= refl.subjects
         if piece.reflection_measure is not None:
             reflection_measure[idx] = piece.reflection_measure
-        for table, incoming in (
-            (noumenon_measure, piece.noumenon_measure),
-            (carrier_measure, piece.carrier_measure),
+        for table, subjects, incoming in (
+            (noumenon_measure, state.subjects, measures.noumenon),
+            (carrier_measure, refl.subjects, measures.carrier),
         ):
-            for key, val in incoming.items():
-                if key in table and table[key] != val:
-                    raise OverlapError(
-                        f"element {key!r} carries conflicting measures {table[key]} and {val}"
-                    )
-                table[key] = val
+            for key in sorted(subjects):
+                if key in incoming:
+                    val = incoming[key]
+                    if key in table and table[key] != val:
+                        raise OverlapError(
+                            f"element {key!r} carries conflicting measures {table[key]} and {val}"
+                        )
+                    table[key] = val
+    states = [piece.state for piece in pieces]
+    reflections = [piece.reflection for piece in pieces]
     return InformationModel(
         noumena=noumena,
         carriers=carriers,
@@ -498,12 +485,12 @@ def combine(pieces: Sequence[AtomicInfo]) -> InformationModel:
         reflection_time=TimeSet.union(*(reflection.time for reflection in reflections)),
         states=states,
         reflections=reflections,
-        mapping=mapping,
+        mapping=[(i, i) for i in range(len(pieces))],
         measures=MeasureAssignment(
             noumenon=noumenon_measure,
             carrier=carrier_measure,
             reflection=reflection_measure,
-            reflection_unit=pieces[0].reflection_unit,
+            reflection_unit=units.pop(),
         ),
     )
 

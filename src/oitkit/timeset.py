@@ -61,7 +61,7 @@ def ticks(value: TimeLike) -> Tick:
 
     Ints and plain decimal strings (an optional "-", decimal digits, at most
     nine places) are read with one `int`; every other form goes through
-    `seconds`. `io` reads a model file's times with the same test, inline.
+    `seconds`.
     """
     if type(value) is int:
         return value * NS

@@ -13,7 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oitkit import model as model_module
-from oitkit.errors import ChainMismatchError, InvalidModelError, NotRestorableError, OverlapError, UnknownIndexError
+from oitkit.errors import (
+    ChainMismatchError,
+    InvalidModelError,
+    MissingMeasureError,
+    NotRestorableError,
+    OverlapError,
+    UnknownIndexError,
+)
 from oitkit.metrics import EquivalenceRelation, RelationSet, delay, metric_report, volume
 from oitkit.model import (
     CopyRecord,
@@ -31,7 +38,7 @@ from oitkit.model import (
 from oitkit.scenarios import penguin_model
 from oitkit.timeset import TimeSet
 
-from generate import random_chain, random_restorable_model
+from generate import random_chain, random_relation, random_relation_set, random_restorable_model
 from oracles import FractionTimeSet, restorable_bruteforce
 
 T1 = TimeSet.span(0, 1)
@@ -488,6 +495,98 @@ def test_atoms_keep_the_reflection_unit(penguin):
     assert metric_report(rebuilt)["volume"]["unit"] == "byte"
     with pytest.raises(OverlapError, match="different units"):
         combine([*atoms, *decompose_atomic(penguin)])
+
+
+def test_atoms_share_their_model_measure_table():
+    m = random_restorable_model(random.Random(3), n_states=5)
+    atoms = decompose_atomic(m)
+    assert all(atom.measures is m.measures for atom in atoms)
+    for s, r in m.mapping:
+        assert atoms[s].reflection_measure == m.measures.reflection[r]
+    alone = make_atom(StateEntry(["n"], T1, "s"), StateEntry(["c"], T2, "r"), 7, {"n": 2}, {"c": 3})
+    assert alone.reflection_measure == 7
+    assert alone.measures == MeasureAssignment({"n": 2}, {"c": 3}, {0: 7})
+    assert "measures" not in repr(atoms[0])
+
+
+def test_atoms_are_read_only_and_copy_equal(penguin):
+    atom = decompose_atomic(penguin)[0]
+    for table in (atom.measures.noumenon, atom.measures.carrier, atom.measures.reflection):
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = -5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        atom.measures = MeasureAssignment()
+    for clone in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom)):
+        assert clone == atom
+        assert clone.reflection_measure == atom.reflection_measure
+
+
+def test_make_atom_refuses_a_measure_of_another_element():
+    state, reflection = StateEntry(["n"], T1, "s"), StateEntry(["c"], T2, "r")
+    with pytest.raises(ValueError, match="noumenon measure names 'elsewhere'"):
+        make_atom(state, reflection, 1, {"n": 1, "elsewhere": 2})
+    with pytest.raises(ValueError, match="carrier measure names 'n'"):
+        make_atom(state, reflection, 1, carrier_measure={"n": 1})
+
+
+def round_trip_by_hand(m: InformationModel) -> InformationModel:
+    """`m` less what belongs to the whole model rather than to its pairs:
+    its copies, label and `enabled`, the elements no entry references and
+    their measures, and the times outside its entries' own. Reflections are
+    renumbered in state order."""
+    pairs = sorted(m.mapping)
+    states = [m.states[s] for s, _ in pairs]
+    reflections = [m.reflections[r] for _, r in pairs]
+    noumena = set().union(*(entry.subjects for entry in states))
+    carriers = set().union(*(entry.subjects for entry in reflections))
+
+    def times(entries):
+        return TimeSet([iv for e in entries for iv in e.time.intervals],
+                       [p for e in entries for p in e.time.points])
+
+    table = m.measures
+    return InformationModel(
+        noumena=noumena,
+        carriers=carriers,
+        occurrence=times(states),
+        reflection_time=times(reflections),
+        states=states,
+        reflections=reflections,
+        mapping=[(i, i) for i in range(len(pairs))],
+        measures=MeasureAssignment(
+            {e: v for e, v in table.noumenon.items() if e in noumena},
+            {e: v for e, v in table.carrier.items() if e in carriers},
+            {i: table.reflection[r] for i, (_, r) in enumerate(pairs) if r in table.reflection},
+            table.reflection_unit,
+        ),
+    )
+
+
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans(), st.sampled_from(["bit", "byte"]))
+def test_round_trip_keeps_the_pairs_and_their_metrics(rng, duplicates, drop_some, unit):
+    m = random_restorable_model(rng, with_duplicates=duplicates)
+    reflection = {r: v for r, v in m.measures.reflection.items() if not drop_some or rng.random() < 0.6}
+    m = dataclasses.replace(
+        m,
+        measures=dataclasses.replace(m.measures, reflection=reflection, reflection_unit=unit),
+        enabled=rng.random() < 0.5,
+        label="whole",
+    )
+    if len({r for _, r in m.mapping}) < len(m.mapping):
+        with pytest.raises(OverlapError, match="share reflection entry"):
+            combine(decompose_atomic(m))
+        return
+    rebuilt = combine(decompose_atomic(m))
+    assert rebuilt == round_trip_by_hand(m)
+    relation, relations = random_relation(rng, m), random_relation_set(rng, m)
+    before, after = metric_report(m, relation, relations), metric_report(rebuilt, relation, relations)
+    for name in ("granularity", "variety", "aggregation", "inputs"):
+        assert after[name] == before[name]
+    renumbered = [i for i, (_, r) in enumerate(sorted(m.mapping)) if r not in reflection]
+    if renumbered:
+        assert after["volume"] == {"skipped": str(MissingMeasureError("reflection", renumbered))}
+    else:
+        assert after["volume"] == before["volume"]
 
 
 quarters = st.integers(0, 40).map(lambda n: Fraction(n, 4))
