@@ -111,16 +111,12 @@ def variety_invariance_check(
     class counts on both sides; they agree for every restorable model."""
     _require_restorable(model)
     labels = oitkit.metrics._state_labels(model, relation)
-    label_of_state: dict = {}
-    for state, lab in zip(model.states, labels):
-        if label_of_state.setdefault(state, lab) != lab:
-            raise PartialRelationError(
-                "relation gives duplicate state values inconsistent labels"
-            )
+    if any(labels[first] != lab for first, lab in zip(model._state_firsts, labels)):
+        raise PartialRelationError("relation gives duplicate state values inconsistent labels")
     transported: dict = {}
     for s, r in model.mapping:
         transported[r] = labels[s]
-    state_classes = len(set(label_of_state.values()))
+    state_classes = len(set(labels))
     reflection_classes = len(set(transported.values()))
     return InvarianceResult(state_classes, reflection_classes, state_classes == reflection_classes)
 
@@ -133,12 +129,11 @@ def aggregation_invariance_check(
     _require_restorable(model)
     ratio_states = oitkit.metrics.aggregation(model, rels)
     to_reflection = dict(model.mapping)
-    refl = model.reflections
+    value_of = model._reflection_firsts
     transported = {
-        (refl[to_reflection[a]], refl[to_reflection[b]], lab) for a, b, lab in rels.edges
+        (value_of[to_reflection[a]], value_of[to_reflection[b]], lab) for a, b, lab in rels.edges
     }
-    distinct_reflections = set(refl)
-    ratio_reflections = Fraction(len(transported), len(distinct_reflections))
+    ratio_reflections = Fraction(len(transported), len(set(value_of)))
     return InvarianceResult(ratio_states, ratio_reflections, ratio_states == ratio_reflections)
 
 

@@ -197,15 +197,13 @@ _lo, _hi = itemgetter(0), itemgetter(1)
 def aggregation(model: InformationModel, rels: RelationSet) -> Fraction:
     """Distinct labelled relations per distinct state value."""
     require_valid(model)
-    states = model.states
-    first: dict = {}  # a state value -> the index it first appears at
-    value_of = [first.setdefault(state, i) for i, state in enumerate(states)]
+    value_of = model._state_firsts
     edges = set()
     for a, b, lab in rels.edges:
-        if not (0 <= a < len(states) and 0 <= b < len(states)):
+        if not (0 <= a < len(value_of) and 0 <= b < len(value_of)):
             raise PartialRelationError(f"edge ({a}, {b}, {lab!r}) references unknown states")
         edges.add((value_of[a], value_of[b], lab))
-    return Fraction(len(edges), len(first))
+    return Fraction(len(edges), len(set(value_of)))
 
 
 def coverage(model: InformationModel):

@@ -10,10 +10,10 @@ on the instance.
 
 State and reflection values come in three kinds: symbolic tokens (str),
 numeric scalars, and numeric vectors. A `StateEntry` and a `TimeSet` compare
-and hash by value, so equality between entries is decided on the triple
-(subjects, time set, value) by the entries themselves, which is what
-restorability, the invariance checks and chain junctions quantify over; no
-separate key tables are kept.
+and hash by value, on (subjects, time set, value). A model hashes each entry
+once, into one index per side that gives each entry the index of the first
+entry equal to it; every check that asks which entries are equal reads it.
+Models, their measure tables and their atoms hash as they compare.
 """
 
 from __future__ import annotations
@@ -141,6 +141,10 @@ class MeasureAssignment:
         tables = (dict(self.noumenon), dict(self.carrier), dict(self.reflection))
         return (MeasureAssignment, (*tables, self.reflection_unit))
 
+    def __hash__(self):
+        tables = (self.noumenon, self.carrier, self.reflection)
+        return hash((*(frozenset(table.items()) for table in tables), self.reflection_unit))
+
 
 @dataclass(frozen=True)
 class CopyRecord:
@@ -187,15 +191,25 @@ class InformationModel:
         return _check(self)
 
     @cached_property
+    def _state_firsts(self) -> tuple[int, ...]:
+        """Each state's index of the first state equal to it."""
+        return _first_equal(self.states)
+
+    @cached_property
+    def _reflection_firsts(self) -> tuple[int, ...]:
+        """Each reflection's index of the first reflection equal to it."""
+        return _first_equal(self.reflections)
+
+    @cached_property
     def _inverse(self) -> dict[int, int] | None:
         """Reflection index -> its first state index in mapping order, or
         None when the mapping is not injective on state values. Only
         meaningful for a valid model."""
-        owner: dict[StateEntry, StateEntry] = {}
+        state_of, reflection_of = self._state_firsts, self._reflection_firsts
+        owner: dict[int, int] = {}  # a reflection value -> the state value mapped onto it
         inverse: dict[int, int] = {}
         for s, r in self.mapping:
-            state = self.states[s]
-            if owner.setdefault(self.reflections[r], state) != state:
+            if owner.setdefault(reflection_of[r], state_of[s]) != state_of[s]:
                 return None
             inverse.setdefault(r, s)
         return inverse
@@ -204,6 +218,13 @@ class InformationModel:
         """Value-level content of the mapping, for equivalence comparisons:
         the set of (state entry, reflection entry) pairs it relates."""
         return frozenset((self.states[s], self.reflections[r]) for s, r in self.mapping)
+
+
+def _first_equal(entries: Sequence[StateEntry]) -> tuple[int, ...]:
+    """For each entry, the index of the first entry equal to it: the one
+    place where entries are hashed to find which are equal."""
+    first: dict[StateEntry, int] = {}
+    return tuple([first.setdefault(entry, i) for i, entry in enumerate(entries)])
 
 
 @dataclass(frozen=True)
@@ -316,7 +337,7 @@ def _check(model: InformationModel) -> ValidationReport:
             subject = f"copy {i} {part}"
             check_measure(value, f"copy-{part}", subject, f"copy {i} has negative {part}")
 
-    if len(set(model.states)) < len(model.states):
+    if model._state_firsts != tuple(range(len(model.states))):
         warn.append(
             Violation(
                 "duplicate-state-values",

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oitkit import model as model_module
+from oitkit.classical import aggregation_invariance_check, variety_invariance_check
 from oitkit.errors import (
     ChainMismatchError,
     InvalidModelError,
@@ -393,12 +394,32 @@ def enumerate_small_models(max_states=4):
 
 
 def test_exhaustive_small_models_match_bruteforce_oracle():
-    count = 0
+    count = agreeing = 0
     for m in enumerate_small_models():
         assert is_restorable(m) == restorable_bruteforce(m)
+        keys = [state.key() for state in m.states]
+        reflection_keys = [reflection.key() for reflection in m.reflections]
+        warned = "duplicate-state-values" in {w.rule for w in validate(m).warnings}
+        assert warned == (len(set(keys)) < len(keys))
+        if is_restorable(m):
+            n = len(m.states)
+            by_value = EquivalenceRelation(dict(enumerate(keys)))
+            all_pairs = RelationSet([(a, b, "to") for a in range(n) for b in range(n)])
+            assert variety_invariance_check(m, by_value).equal
+            # k distinct values make k² relations, so each side's ratio is its
+            # number of distinct values; they differ when a state value maps
+            # onto unequal reflections, which restorability allows
+            result = aggregation_invariance_check(m, all_pairs)
+            assert (result.state_side, result.reflection_side) == (
+                len(set(keys)), len(set(reflection_keys))
+            )
+            split = len({(keys[s], reflection_keys[r]) for s, r in m.mapping}) > len(set(keys))
+            assert result.equal != split
+            agreeing += result.equal
         count += 1
     # 92 surjective mappings on <= 4 states, times the value-duplication patterns
     assert count == 359
+    assert agreeing == 50
 
 
 def test_restore_inverts_the_mapping():
@@ -806,6 +827,47 @@ def test_frozen_models_still_pickle_and_deep_copy(penguin):
         assert clone == penguin
         with pytest.raises(TypeError):
             clone.measures.reflection[0] = -5
+
+
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_equal_models_and_atoms_hash_equal(rng, duplicates, integer_measures):
+    m = random_restorable_model(rng, with_duplicates=duplicates, integer_measures=integer_measures)
+    table = m.measures
+    reversed_measures = MeasureAssignment(
+        *(dict(reversed(t.items())) for t in (table.noumenon, table.carrier, table.reflection)),
+        table.reflection_unit,
+    )
+    clones = (
+        pickle.loads(pickle.dumps(m)),
+        copy.deepcopy(m),
+        dataclasses.replace(m),
+        dataclasses.replace(m, measures=reversed_measures),
+    )
+    for clone in clones:
+        assert clone == m
+        assert hash(clone) == hash(m)
+        assert len({m, clone}) == 1
+    for atom in decompose_atomic(m):
+        twin = dataclasses.replace(atom, measures=reversed_measures)
+        assert twin == atom and hash(twin) == hash(atom)
+
+
+def test_each_entry_is_hashed_once_per_model(monkeypatch):
+    rng = random.Random(11)
+    m = random_restorable_model(rng, max_states=8, with_duplicates=True)
+    while len(m.mapping) == len(m.reflections):
+        m = random_restorable_model(rng, max_states=8, with_duplicates=True)
+    relation, relations = random_relation(rng, m), random_relation_set(rng, m)
+    calls = []
+    entry_hash = StateEntry.__hash__
+    monkeypatch.setattr(StateEntry, "__hash__", lambda entry: calls.append(1) or entry_hash(entry))
+    assert validate(m).ok and "duplicate-state-values" in {w.rule for w in validate(m).warnings}
+    assert is_restorable(m)
+    restore(m, 0)
+    metric_report(m, relation, relations)
+    assert variety_invariance_check(m, relation).equal
+    assert aggregation_invariance_check(m, relations).equal
+    assert 0 < len(calls) <= len(m.states) + len(m.reflections)
 
 
 def test_replace_recomputes_the_report_and_indexes():
